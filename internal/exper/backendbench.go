@@ -14,12 +14,12 @@ import (
 // measured on a dispatch-bound workload — long unrolled pure-ALU blocks
 // with independent lanes, the instruction mix the threaded-code engine
 // exists to accelerate — because on the paper's application workloads
-// the two backends are within noise of each other: those runs are
-// dominated by adjudicated memory traffic, gate round-trips and call
-// setup, which are architected effects both engines route through the
-// same machine primitives (DESIGN.md §12 has the full breakdown). The
-// per-app rows record exactly that, along with the cycle-identity bit
-// the differential suite enforces.
+// the two backends are within noise of each other: what remains of
+// those runs once both engines fast-forward device polls is calls,
+// adjudicated memory traffic and gate round-trips, architected effects
+// both engines route through the same machine primitives (DESIGN.md
+// §12 and §15). The per-app rows record exactly that, along with the
+// cycle-identity bit the differential suite enforces.
 
 // BackendSpeedupFloor is the validation gate on the dispatch-bound
 // sweep: the translation engine must beat the interpreter by at least

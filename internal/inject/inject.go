@@ -7,6 +7,7 @@ import (
 	"opec/internal/aces"
 	"opec/internal/apps"
 	"opec/internal/core"
+	"opec/internal/ir"
 	"opec/internal/mach"
 	"opec/internal/monitor"
 	"opec/internal/run"
@@ -162,15 +163,30 @@ type fireState struct {
 // table semantics, exactly like program code).
 func buildFire(spec Spec, inst *apps.Instance, board *mach.Board, ab *aces.Build) (func(*mach.Machine) error, *fireState, error) {
 	st := &fireState{}
-	resolveGlobal := func(m *mach.Machine, name string) (uint32, error) {
-		g := inst.Mod.Global(name)
-		if g == nil {
-			return 0, fmt.Errorf("inject: no global %q", name)
+	// Targets resolve when the trial is built, so a spec naming nothing
+	// is an input error, never a trial outcome.
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("inject: spec %q: %s", spec, fmt.Sprintf(format, a...))
+	}
+	var periph *mach.PeriphInfo
+	var glob *ir.Global
+	switch spec.Kind {
+	case RogueStore:
+		if periph = board.PeriphByName(spec.Target); periph == nil {
+			if glob = inst.Mod.Global(spec.Target); glob == nil {
+				return nil, nil, bad("no global or peripheral %q", spec.Target)
+			}
 		}
+	case BitFlip:
+		if glob = inst.Mod.Global(spec.Target); glob == nil {
+			return nil, nil, bad("no global %q", spec.Target)
+		}
+	}
+	resolveGlobal := func(m *mach.Machine) (uint32, error) {
 		if ab != nil {
-			return ab.GlobalAddr[g] + spec.Off, nil
+			return ab.GlobalAddr[glob] + spec.Off, nil
 		}
-		addr, f := m.GlobalAddr(g, m.Privileged)
+		addr, f := m.GlobalAddr(glob, m.Privileged)
 		if f != nil {
 			// Resolution itself faulted at the attacker's privilege:
 			// the protection unit stopped the probe.
@@ -184,10 +200,10 @@ func buildFire(spec Spec, inst *apps.Instance, board *mach.Board, ab *aces.Build
 		return func(m *mach.Machine) error {
 			st.fired = true
 			var addr uint32
-			if p := board.PeriphByName(spec.Target); p != nil {
-				addr = p.Base + spec.Off
+			if periph != nil {
+				addr = periph.Base + spec.Off
 			} else {
-				a, err := resolveGlobal(m, spec.Target)
+				a, err := resolveGlobal(m)
 				if err != nil {
 					return err
 				}
@@ -205,7 +221,7 @@ func buildFire(spec Spec, inst *apps.Instance, board *mach.Board, ab *aces.Build
 			st.fired = true
 			// Soft error: flips the bit wherever the variable currently
 			// lives, beneath the protection unit (hardware, not code).
-			addr, err := resolveGlobal(m, spec.Target)
+			addr, err := resolveGlobal(m)
 			if err != nil {
 				return err
 			}
@@ -220,7 +236,7 @@ func buildFire(spec Spec, inst *apps.Instance, board *mach.Board, ab *aces.Build
 	case BadGate:
 		entry := inst.Mod.Func(spec.Target)
 		if entry == nil {
-			return nil, nil, fmt.Errorf("inject: no gate target %q", spec.Target)
+			return nil, nil, bad("no gate target %q", spec.Target)
 		}
 		return func(m *mach.Machine) error {
 			st.fired = true
@@ -240,7 +256,7 @@ func buildFire(spec Spec, inst *apps.Instance, board *mach.Board, ab *aces.Build
 	case PeriphCorrupt:
 		p := board.PeriphByName(spec.Target)
 		if p == nil {
-			return nil, nil, fmt.Errorf("inject: no peripheral %q", spec.Target)
+			return nil, nil, bad("no peripheral %q", spec.Target)
 		}
 		return func(m *mach.Machine) error {
 			st.fired = true

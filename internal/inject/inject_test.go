@@ -3,6 +3,7 @@ package inject
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"opec/internal/apps"
@@ -233,5 +234,65 @@ func TestRogueStoreEscapesACESMergedRegions(t *testing.T) {
 	}
 	if outA.Verdict != Escaped {
 		t.Fatalf("ACES-2 verdict = %v (%s), want escaped", outA.Verdict, outA.Err)
+	}
+}
+
+// TestSpecInputErrors checks that malformed or dangling specs are input
+// errors naming the spec — at parse time, or when the trial is built —
+// and never trial outcomes such as crashed-monitor or benign.
+func TestSpecInputErrors(t *testing.T) {
+	inst, b := compilePinLock(t, 1)
+	cases := []struct {
+		spec  string
+		parse string // substring of the ParseSpec error ("" = parses)
+		build string // substring of the buildFire error ("" = builds)
+	}{
+		{spec: "store:main:1:NOPE:0:-1:0xee", build: `no global or peripheral "NOPE"`},
+		{spec: "flip:Lock_Task:1:NOPE:0:3:0", build: `no global "NOPE"`},
+		{spec: "gate:main:1:NOPE:0:0:0", build: `no gate target "NOPE"`},
+		{spec: "periph:main:1:NOPE:0:0:0", build: `no peripheral "NOPE"`},
+		{spec: "flip:Lock_Task:1:KEY:0:9:0", parse: "flip bit 9"},
+		{spec: "flip:Lock_Task:1:KEY:0:-1:0", parse: "flip bit -1"},
+		{spec: "store:main:-5:KEY:0:-1:0xee", parse: "trigger count -5"},
+		{spec: "store:main:0:KEY:0:-1:0xee", parse: "trigger count 0"},
+		{spec: "store:main:1:KEY:0:-1:0xee"},
+		{spec: "store:main:1:USART2:4:-1:0xee"},
+		{spec: "flip:Lock_Task:1:KEY:0:7:0"},
+		{spec: "flip:Lock_Task:1:KEY:0:0:0"},
+	}
+	for _, c := range cases {
+		spec, err := ParseSpec(c.spec)
+		if c.parse != "" {
+			if err == nil || !strings.Contains(err.Error(), c.parse) || !strings.Contains(err.Error(), c.spec) {
+				t.Errorf("ParseSpec(%q) = %v, want an error naming the spec and %q", c.spec, err, c.parse)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", c.spec, err)
+			continue
+		}
+		_, _, err = buildFire(spec, inst, b.Board, nil)
+		switch {
+		case c.build == "" && err != nil:
+			t.Errorf("buildFire(%q): %v", c.spec, err)
+		case c.build != "" && (err == nil || !strings.Contains(err.Error(), c.build) || !strings.Contains(err.Error(), c.spec)):
+			t.Errorf("buildFire(%q) = %v, want an error naming the spec and %q", c.spec, err, c.build)
+		}
+	}
+
+	// The replay entry points surface the build error instead of
+	// classifying a trial.
+	spec, _ := ParseSpec("store:main:1:NOPE:0:-1:0xee")
+	app := apps.PinLockN(1)
+	if out, err := RunOPEC(app, spec, monitor.Policy{}, 0); err == nil {
+		t.Errorf("RunOPEC ran a dangling store as a trial: verdict %s", out.Verdict)
+	}
+	forge, err := NewForge(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := forge.Run(spec, monitor.Policy{}, 0); err == nil {
+		t.Errorf("Forge.Run ran a dangling store as a trial: verdict %s", out.Verdict)
 	}
 }

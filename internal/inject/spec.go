@@ -256,6 +256,11 @@ func ParseSpec(text string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("inject: spec %q: bad trigger count: %w", text, err)
 	}
+	if n <= 0 {
+		// Entry counts are 1-based; 0 or less would fire on the first
+		// entry yet print as a different replay spec.
+		return Spec{}, fmt.Errorf("inject: spec %q: trigger count %d: want the 1-based entry count, >= 1", text, n)
+	}
 	s.N = n
 	s.Target = parts[3]
 	off, err := strconv.ParseUint(parts[4], 0, 32)
@@ -266,6 +271,10 @@ func ParseSpec(text string) (Spec, error) {
 	bit, err := strconv.Atoi(parts[5])
 	if err != nil {
 		return Spec{}, fmt.Errorf("inject: spec %q: bad bit: %w", text, err)
+	}
+	if s.Kind == BitFlip && (bit < 0 || bit > 7) {
+		// A flip rewrites one byte; any other index would flip nothing.
+		return Spec{}, fmt.Errorf("inject: spec %q: flip bit %d outside the flipped byte (want 0-7)", text, bit)
 	}
 	s.Bit = bit
 	val, err := strconv.ParseUint(parts[6], 0, 32)

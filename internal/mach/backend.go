@@ -169,6 +169,14 @@ func (e *Env) TermStep() {
 // exactly as exec treats tick errors.
 func (e *Env) Tick() error { return e.m.tick() }
 
+// LoopBack is the fast-forward primitive (fastforward.go), called when
+// the block just finished branches back to itself. n counts this
+// activation's consecutive back edges of that block (0 the first
+// time); the result is the count to pass at the next one. The clock
+// and instruction count must be exact when it is called, as they are
+// after a terminator.
+func (e *Env) LoopBack(n int) int { return e.m.loopBack(e.fr, n) }
+
 // Block records the per-block coverage event for block index bi,
 // exactly as exec does after its tick (no-op unless the machine has a
 // trace attached with CovEvents set). A backend calls it between Tick

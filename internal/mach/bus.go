@@ -155,6 +155,14 @@ type Bus struct {
 	// rawWatch, when non-nil, observes raw (check-bypassing) writes —
 	// the watch seam's hardware-level half (watch.go).
 	rawWatch func(addr uint32, size int, val uint32)
+
+	// writes counts every store issued through the bus, checked or raw,
+	// and horizons, when non-nil, logs the horizon of every device and
+	// PPB read: together they let a fast-forward witness prove a loop
+	// iteration changed no memory and read only quiescent registers
+	// (fastforward.go).
+	writes   uint64
+	horizons *horizonLog
 }
 
 // NewBus creates a bus with the given Flash and SRAM sizes.
@@ -293,12 +301,23 @@ func (b *Bus) Load(addr uint32, size int, privileged bool) (uint32, *Fault) {
 	case targetSRAM:
 		return b.sram.readLE(off, size), nil
 	default:
-		return d.Load(off, size), nil
+		return b.devLoad(d, off, size), nil
 	}
+}
+
+// devLoad reads a device register, logging its horizon while a
+// fast-forward witness is live.
+func (b *Bus) devLoad(d Device, off uint32, size int) uint32 {
+	v := d.Load(off, size)
+	if b.horizons != nil {
+		b.horizons.note(d, off)
+	}
+	return v
 }
 
 // Store performs a checked store.
 func (b *Bus) Store(addr uint32, size int, v uint32, privileged bool) *Fault {
+	b.writes++
 	k, off, d := b.resolve(addr, size)
 	switch k {
 	case targetPPB:
@@ -336,13 +355,14 @@ func (b *Bus) RawLoad(addr uint32, size int) (uint32, *Fault) {
 	case targetPPB:
 		return b.ppbLoad(addr, size), nil
 	case targetDevice:
-		return d.Load(off, size), nil
+		return b.devLoad(d, off, size), nil
 	}
 	return 0, &Fault{Kind: FaultBus, Addr: addr, Size: size, Privileged: true}
 }
 
 // RawStore bypasses permission checks.
 func (b *Bus) RawStore(addr uint32, size int, v uint32) *Fault {
+	b.writes++
 	if b.rawWatch != nil {
 		b.rawWatch(addr, size, v)
 	}
@@ -364,6 +384,15 @@ func (b *Bus) RawStore(addr uint32, size int, v uint32) *Fault {
 }
 
 func (b *Bus) ppbLoad(addr uint32, size int) uint32 {
+	if b.horizons != nil {
+		// The cycle counter changes every cycle; the other core
+		// registers change only when written.
+		h := Never
+		if addr == DWTCyccnt {
+			h = 0
+		}
+		b.horizons.add(h)
+	}
 	switch addr {
 	case DWTCyccnt:
 		return uint32(b.Clock.Now())
@@ -414,6 +443,7 @@ func writeLE(b []byte, size int, v uint32) {
 // also preserves the historical forward-byte replication semantics for
 // overlapping ranges with dst inside [src, src+n).
 func (b *Bus) CopyMem(dst, src uint32, n int) *Fault {
+	b.writes++
 	if n > 1 {
 		// The bulk path additionally requires both ranges to sit inside
 		// one page each (view returns nil on a straddle); the byte loop

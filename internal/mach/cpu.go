@@ -54,8 +54,17 @@ type Handlers struct {
 	BusFault func(f *Fault) FaultResolution
 	// OnCall is invoked before every direct or resolved indirect call;
 	// the ACES runtime switches compartments here. Errors abort.
+	//
+	// OnCall and OnReturn may keep private bookkeeping, but any change
+	// they make that execution can observe must go through the machine:
+	// MPU regions, privilege or the clock. The busy-wait fast-forward
+	// (fastforward.go) relies on this to prove that a loop iteration
+	// calling through these hooks repeats exactly. The ACES runtime
+	// meets it: a same-compartment call pushes and pops a nil marker,
+	// and a compartment switch always reprograms the MPU.
 	OnCall func(caller, callee *ir.Function) error
-	// OnReturn is invoked after the call returns.
+	// OnReturn is invoked after the call returns, under the same
+	// contract as OnCall.
 	OnReturn func(caller, callee *ir.Function) error
 	// OnFuncEnter observes every function entry (the tracing hook that
 	// substitutes for the paper's GDB single-stepping).
@@ -149,6 +158,11 @@ type Machine struct {
 	proofElided  uint64 // accesses satisfied by a static certificate
 	proofChecked uint64 // accesses dynamically adjudicated
 	depth        int
+
+	// exceptions counts exception entries (faults, SVCs, IRQs); ff is
+	// the busy-wait fast-forward state (fastforward.go).
+	exceptions uint64
+	ff         ffState
 }
 
 // funcMeta is the per-function execution metadata computed once in
@@ -329,6 +343,8 @@ func (m *Machine) Counters() []trace.Counter {
 		{Name: "mach.frame_reuse", Value: m.frameReuse},
 		{Name: "mach.proofs.elided", Value: m.proofElided},
 		{Name: "mach.proofs.checked", Value: m.proofChecked},
+		{Name: "mach.ff.episodes", Value: m.ff.episodes},
+		{Name: "mach.ff.skipped_instrs", Value: m.ff.skipped},
 	}
 	if m.Bus != nil {
 		cs = append(cs, m.Bus.Counters()...)
@@ -370,6 +386,7 @@ type frame struct {
 	argBase uint32   // address of spilled args
 	argbuf  []uint32 // evalArgs scratch; valid until this frame's next call
 	env     Env      // backend activation view; reused per call at this depth
+	ff      loopWitness
 }
 
 // frameAt returns the pooled frame for one-based call depth d.
@@ -475,6 +492,7 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 	// fm on every load/store costs a dependent pointer chase in the
 	// hottest loop the simulator has.
 	certs, allocaOff := fm.certs, fm.allocaOff
+	loops := 0 // consecutive back edges of blk (loopBack)
 	for {
 		if err := m.tick(); err != nil {
 			return 0, err
@@ -489,18 +507,19 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 		}
 		m.Clock.Advance(CostInstr) // terminator
 		m.InstrCount++
+		next := blk
 		switch blk.Term.Op {
 		case ir.TermBr:
-			blk = blk.Term.Succs[0]
+			next = blk.Term.Succs[0]
 		case ir.TermCondBr:
 			c, err := m.eval(fr, blk.Term.Cond)
 			if err != nil {
 				return 0, m.locate(fr, fm, err)
 			}
 			if c != 0 {
-				blk = blk.Term.Succs[0]
+				next = blk.Term.Succs[0]
 			} else {
-				blk = blk.Term.Succs[1]
+				next = blk.Term.Succs[1]
 			}
 		case ir.TermRet:
 			if blk.Term.Val == nil {
@@ -514,6 +533,12 @@ func (m *Machine) exec(fr *frame, localBase uint32, fm *funcMeta) (uint32, error
 		default:
 			return 0, fmt.Errorf("mach: unterminated block %s in %s", blk.Name, fr.fn.Name)
 		}
+		if next == blk {
+			loops = m.loopBack(fr, loops)
+		} else {
+			loops = 0
+		}
+		blk = next
 	}
 }
 
@@ -529,6 +554,7 @@ func (m *Machine) tick() error {
 	for _, b := range m.irqs {
 		if b.src.IRQPending() {
 			b.src.IRQAck()
+			m.exceptions++
 			m.inIRQ = true
 			wasPriv := m.Privileged
 			m.Privileged = true // hardware escalates for exception entry
@@ -741,6 +767,7 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 // (Quarantine) instead of unwinding.
 func (m *Machine) svcCall(entry *ir.Function, args []uint32) (uint32, error) {
 	m.SwitchCount++
+	m.exceptions++
 	m.Clock.Advance(CostExcEntry)
 	if m.Trace != nil {
 		m.emitExc(trace.EvExcEntry, trace.ExcSVC, CostExcEntry)
@@ -893,6 +920,7 @@ func (m *Machine) storeChecked(addr uint32, size int, v uint32) error {
 // handleFault routes a fault to the matching handler; the handler runs
 // privileged (hardware exception entry).
 func (m *Machine) handleFault(f *Fault) (uint32, error) {
+	m.exceptions++
 	if m.Trace != nil {
 		m.emitFault(f)
 	}

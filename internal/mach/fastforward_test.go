@@ -1,0 +1,391 @@
+package mach
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"opec/internal/ir"
+	"opec/internal/trace"
+)
+
+// pollReg is the status register the fast-forward test programs spin
+// on: bit 0 reads set from readyAt on.
+const pollReg = TIM2Base
+
+// statusDev is a status register that turns ready at a scheduled cycle
+// and does not report horizons.
+type statusDev struct {
+	clk     *Clock
+	readyAt uint64
+	reads   []uint64 // cycle of every load, for locating iteration ends
+}
+
+func (d *statusDev) Name() string              { return "TIM2" }
+func (d *statusDev) Base() uint32              { return pollReg }
+func (d *statusDev) Size() uint32              { return 0x400 }
+func (d *statusDev) Store(uint32, int, uint32) {}
+func (d *statusDev) Load(off uint32, _ int) uint32 {
+	d.reads = append(d.reads, d.clk.Now())
+	if d.clk.Now() >= d.readyAt {
+		return 1
+	}
+	return 0
+}
+
+// quietDev is statusDev with the Quiescent contract.
+type quietDev struct{ statusDev }
+
+func (d *quietDev) QuiescentUntil(uint32) uint64 {
+	if d.clk.Now() < d.readyAt {
+		return d.readyAt
+	}
+	return Never
+}
+
+// pollShape selects the loop the test program spins in.
+type pollShape int
+
+const (
+	pollInline pollShape = iota // the load sits in the self-loop block
+	pollCall                    // the self-loop calls a one-block accessor
+	pollStore                   // the self-loop also stores to a global
+	pollDWT                     // the self-loop also reads DWT_CYCCNT
+	pollNested                  // an outer self-loop calls a function that polls
+)
+
+// pollModule builds main, which spins until the status register reads
+// ready and returns it.
+func pollModule(shape pollShape) *ir.Module {
+	m := ir.NewModule("poll")
+	g := m.AddGlobal(&ir.Global{Name: "g", Typ: ir.I32})
+	get := ir.NewFunc(m, "status", "s.c", ir.I32)
+	get.Ret(get.Load(ir.I32, ir.CI(pollReg)))
+
+	wait := ir.NewFunc(m, "wait", "s.c", ir.I32)
+	wloop, wdone := wait.NewBlock("poll"), wait.NewBlock("ready")
+	wait.Br(wloop)
+	wait.SetBlock(wloop)
+	wv := wait.Call(get.F)
+	wait.CondBr(wait.And(wv, ir.CI(1)), wdone, wloop)
+	wait.SetBlock(wdone)
+	wait.Ret(wv)
+
+	fb := ir.NewFunc(m, "main", "s.c", ir.I32)
+	loop, done := fb.NewBlock("poll"), fb.NewBlock("ready")
+	fb.Br(loop)
+	fb.SetBlock(loop)
+	var v ir.Value
+	switch shape {
+	case pollInline:
+		v = fb.Load(ir.I32, ir.CI(pollReg))
+	case pollCall:
+		v = fb.Call(get.F)
+	case pollStore:
+		fb.Store(ir.I32, g, ir.CI(7))
+		v = fb.Load(ir.I32, ir.CI(pollReg))
+	case pollDWT:
+		fb.Load(ir.I32, ir.CI(DWTCyccnt))
+		v = fb.Load(ir.I32, ir.CI(pollReg))
+	case pollNested:
+		v = fb.Call(wait.F)
+	}
+	fb.CondBr(fb.And(v, ir.CI(1)), done, loop)
+	fb.SetBlock(done)
+	fb.Ret(v)
+	return m
+}
+
+// ffResult is what a fast-forward run must share with its reference.
+type ffResult struct {
+	ret      uint32
+	err      string
+	cycles   uint64
+	counters string // every machine counter but mach.ff.*
+	episodes uint64
+}
+
+// ffSetup adjusts a machine before the run (arming, watching, ...).
+type ffSetup func(m *Machine, dev Device)
+
+// runPoll runs a pollModule program with the status register ready at
+// readyAt under a cycle budget. traced attaches a trace, which makes
+// the fast-forward decline: the reference run.
+func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, traced bool, setup ffSetup) (ffResult, *statusDev) {
+	t.Helper()
+	mod := pollModule(shape)
+	m := testMachine(t, mod)
+	m.MaxCycles = budget
+	sd := &statusDev{clk: m.Clock, readyAt: readyAt}
+	var dev Device = sd
+	if quiet {
+		q := &quietDev{}
+		q.clk, q.readyAt = m.Clock, readyAt
+		dev, sd = q, &q.statusDev
+	}
+	if err := m.Bus.Attach(dev); err != nil {
+		t.Fatal(err)
+	}
+	m.Bus.dwtEnabled = true
+	if traced {
+		m.AttachTrace(trace.NewBuffer(64))
+	}
+	if setup != nil {
+		setup(m, dev)
+	}
+	ret, err := m.Run(mod.MustFunc("main"))
+	r := ffResult{ret: ret, cycles: m.Clock.Now(), episodes: m.ff.episodes}
+	if err != nil {
+		r.err = err.Error()
+	}
+	var cs []string
+	for _, c := range m.Counters() {
+		if !strings.HasPrefix(c.Name, "mach.ff.") {
+			cs = append(cs, fmt.Sprintf("%s=%d", c.Name, c.Value))
+		}
+	}
+	r.counters = strings.Join(cs, " ")
+	return r, sd
+}
+
+// samePoll runs the program untraced and traced and requires identical
+// outcomes, returning the untraced run's skip count.
+func samePoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, setup ffSetup) uint64 {
+	t.Helper()
+	fast, _ := runPoll(t, shape, quiet, readyAt, budget, false, setup)
+	ref, _ := runPoll(t, shape, quiet, readyAt, budget, true, setup)
+	if ref.episodes != 0 {
+		t.Fatalf("traced run fast-forwarded %d times", ref.episodes)
+	}
+	episodes := fast.episodes
+	fast.episodes = 0
+	if fast != ref {
+		t.Fatalf("ready@%d budget %d: fast-forward run\n  %+v\nreference\n  %+v", readyAt, budget, fast, ref)
+	}
+	return episodes
+}
+
+func TestFastForwardSkipsPollLoop(t *testing.T) {
+	for _, shape := range []pollShape{pollInline, pollCall} {
+		if n := samePoll(t, shape, true, 50_000, 1<<40, nil); n == 0 {
+			t.Errorf("shape %d: poll loop never fast-forwarded", shape)
+		}
+	}
+}
+
+// TestFastForwardHorizonAtIterationBoundary places the register's
+// ready cycle exactly on, one cycle before and one cycle after the end
+// of an iteration, for every phase in between too, and requires the
+// skipping run to exit the loop on exactly the reference's cycle.
+func TestFastForwardHorizonAtIterationBoundary(t *testing.T) {
+	for _, shape := range []pollShape{pollInline, pollCall} {
+		_, sd := runPoll(t, shape, true, 1<<40, 20_000, true, nil)
+		reads := sd.reads
+		period := reads[len(reads)-1] - reads[len(reads)-2]
+		if period == 0 || reads[1]-reads[0] != period {
+			t.Fatalf("shape %d: irregular poll period in %v", shape, reads[:4])
+		}
+		// Reads sit a fixed distance before each back edge; the back
+		// edge of the iteration that read at reads[i] is reads[i+1]
+		// minus the distance from an iteration start to its read.
+		lead := readLead(t, shape)
+		boundary := reads[400] - lead // end of iteration 399
+		for _, at := range []uint64{boundary - 1, boundary, boundary + 1} {
+			if n := samePoll(t, shape, true, at, 1<<40, nil); n == 0 {
+				t.Errorf("shape %d, ready@%d: never fast-forwarded", shape, at)
+			}
+		}
+		for at := boundary + 2; at < boundary+2*period; at++ {
+			samePoll(t, shape, true, at, 1<<40, nil)
+		}
+	}
+}
+
+// readLead is the cycles from the start of a poll iteration (its
+// block-boundary tick) to the status read inside it.
+func readLead(t *testing.T, shape pollShape) uint64 {
+	switch shape {
+	case pollInline:
+		return CostInstr + CostMem // the load's own cycles
+	case pollCall:
+		return CostInstr + CostCall + CostInstr + CostMem
+	}
+	t.Fatalf("no lead for shape %d", shape)
+	return 0
+}
+
+// TestFastForwardCycleBudget puts MaxCycles inside the skipped span at
+// every phase of an iteration. The first iteration that is not skipped
+// must still run its block-boundary tick, so the cycle-limit error
+// fires at the reference's cycle. The call shape has ticks inside the
+// iteration as well as at its start.
+func TestFastForwardCycleBudget(t *testing.T) {
+	for _, shape := range []pollShape{pollInline, pollCall} {
+		_, sd := runPoll(t, shape, true, 1<<40, 20_000, true, nil)
+		period := sd.reads[1] - sd.reads[0]
+		base := sd.reads[300]
+		for budget := base; budget < base+2*period+1; budget++ {
+			if n := samePoll(t, shape, true, 1<<40, budget, nil); n == 0 {
+				t.Errorf("shape %d, budget %d: never fast-forwarded", shape, budget)
+			}
+		}
+		r, _ := runPoll(t, shape, true, 1<<40, base, false, nil)
+		if !strings.Contains(r.err, ErrCycleLimit.Error()) {
+			t.Errorf("shape %d: run ended with %q, want the cycle limit", shape, r.err)
+		}
+	}
+}
+
+// TestFastForwardNestedLoop runs an outer self-loop whose iteration
+// calls a function with its own poll loop, at every phase of the
+// register's ready cycle.
+func TestFastForwardNestedLoop(t *testing.T) {
+	for at := uint64(20_000); at < 20_040; at++ {
+		samePoll(t, pollNested, true, at, 1<<40, nil)
+	}
+}
+
+// TestFastForwardNestedWitnessKeepsLog checks that a witness starting
+// in a nested activation leaves the enclosing witness's device reads
+// in the log: the outer loop must still see the nearer horizon.
+func TestFastForwardNestedWitnessKeepsLog(t *testing.T) {
+	m := testMachine(t, pollModule(pollNested))
+	var outer, inner loopWitness
+	m.ffWatch(&outer)
+	m.Bus.horizons.add(900)
+	m.ffWatch(&inner)
+	m.Bus.horizons.add(Never)
+	if h := m.ff.log.minSince(outer.logSeq); h != 900 {
+		t.Errorf("outer window horizon = %d after a nested watch started, want 900", h)
+	}
+	if h := m.ff.log.minSince(inner.logSeq); h != Never {
+		t.Errorf("inner window horizon = %d, want Never", h)
+	}
+}
+
+// TestHorizonLogOverflow checks the log keeps its newer half when full
+// and reports a window that lost reads as having no horizon.
+func TestHorizonLogOverflow(t *testing.T) {
+	var l horizonLog
+	old := l.seq()
+	l.add(5)
+	for i := 0; i < horizonLogCap; i++ {
+		l.add(Never)
+	}
+	recent := l.seq() - 4
+	if h := l.minSince(old); h != 0 {
+		t.Errorf("dropped window horizon = %d, want 0", h)
+	}
+	if h := l.minSince(recent); h != Never {
+		t.Errorf("recent window horizon = %d, want Never", h)
+	}
+}
+
+// TestFastForwardDeclines lists everything that must force
+// iteration-by-iteration execution. Each run must still match its
+// traced reference.
+func TestFastForwardDeclines(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape pollShape
+		quiet bool
+		setup ffSetup
+	}{
+		{"store", pollStore, true, nil},
+		{"dwt-cyccnt", pollDWT, true, nil},
+		{"no-quiescent", pollInline, false, nil},
+		{"armed-injection", pollInline, true, func(m *Machine, _ Device) {
+			m.Arm(&Injection{At: 1 << 40, Fire: func(*Machine) error { return nil }})
+		}},
+		{"store-watch", pollInline, true, func(m *Machine, _ Device) {
+			m.SetStoreWatch(func(WatchedStore) {})
+		}},
+		{"raw-watch", pollInline, true, func(m *Machine, _ Device) {
+			m.Bus.SetRawWatch(func(uint32, int, uint32) {})
+		}},
+		{"func-enter-hook", pollInline, true, func(m *Machine, _ Device) {
+			m.Handlers.OnFuncEnter = func(*ir.Function) {}
+		}},
+		{"irq-binding", pollInline, true, func(m *Machine, dev Device) {
+			m.BindIRQ(quietIRQ{dev}, m.Mod.MustFunc("status"))
+		}},
+	}
+	for _, c := range cases {
+		if n := samePoll(t, c.shape, c.quiet, 30_000, 1<<40, c.setup); n != 0 {
+			t.Errorf("%s: fast-forwarded %d times, want iteration-by-iteration execution", c.name, n)
+		}
+	}
+}
+
+// TestFastForwardLoopCarriedRegister runs a self-loop that counts in
+// registers alone: ir.Verify does not enforce dominance, so an operand
+// may name a register defined later in its own block, carrying a value
+// from one iteration into the next without a store. The register-file
+// comparison must see the count move and keep the loop unskipped.
+func TestFastForwardLoopCarriedRegister(t *testing.T) {
+	m := ir.NewModule("carried")
+	fb := ir.NewFunc(m, "main", "s.c", ir.I32)
+	loop, done := fb.NewBlock("count"), fb.NewBlock("done")
+	fb.Br(loop)
+	fb.SetBlock(loop)
+	next := fb.Add(ir.CI(0), ir.CI(1))
+	carried := fb.Add(next, ir.CI(0))
+	next.Args[0] = carried // next = carried + 1, from the previous iteration
+	fb.CondBr(fb.Lt(next, ir.CI(5000)), loop, done)
+	fb.SetBlock(done)
+	fb.Ret(next)
+
+	run := func(traced bool) (uint32, uint64, uint64) {
+		mm := testMachine(t, m)
+		if traced {
+			mm.AttachTrace(trace.NewBuffer(64))
+		}
+		ret, err := mm.Run(m.MustFunc("main"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ret, mm.Clock.Now(), mm.ff.episodes
+	}
+	ret, cycles, episodes := run(false)
+	refRet, refCycles, _ := run(true)
+	if ret != refRet || cycles != refCycles || episodes != 0 {
+		t.Errorf("returned %d at cycle %d after %d skips, reference %d at cycle %d", ret, cycles, episodes, refRet, refCycles)
+	}
+}
+
+// quietIRQ is an interrupt source that never asserts.
+type quietIRQ struct{ Device }
+
+func (quietIRQ) IRQPending() bool { return false }
+func (quietIRQ) IRQAck()          {}
+
+// TestFastForwardSurvivesRestore checks a restored machine starts with
+// no live witness log and its counters rolled back.
+func TestFastForwardSurvivesRestore(t *testing.T) {
+	mod := pollModule(pollInline)
+	m := testMachine(t, mod)
+	q := &quietDev{}
+	q.clk, q.readyAt = m.Clock, 40_000
+	if err := m.Bus.Attach(q); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(mod.MustFunc("main")); err != nil {
+		t.Fatal(err)
+	}
+	if m.ff.episodes == 0 || m.Bus.horizons == nil {
+		t.Fatalf("run did not fast-forward (episodes %d)", m.ff.episodes)
+	}
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if m.ff.episodes != 0 || m.ff.skipped != 0 || m.Bus.horizons != nil || len(m.ff.log.h) != 0 {
+		t.Errorf("restore left fast-forward state: %+v horizons=%v", m.ff, m.Bus.horizons != nil)
+	}
+	if _, err := m.Run(mod.MustFunc("main")); err != nil {
+		t.Fatal(err)
+	}
+}

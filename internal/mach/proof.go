@@ -135,12 +135,13 @@ func (b *Bus) LoadProven(addr uint32, size int, privileged bool) (uint32, *Fault
 	case targetSRAM:
 		return b.sram.readLE(off, size), nil
 	default:
-		return d.Load(off, size), nil
+		return b.devLoad(d, off, size), nil
 	}
 }
 
 // StoreProven is Bus.Store without the protection-unit adjudication.
 func (b *Bus) StoreProven(addr uint32, size int, v uint32, privileged bool) *Fault {
+	b.writes++
 	k, off, d := b.resolve(addr, size)
 	switch k {
 	case targetPPB:

@@ -73,6 +73,7 @@ type Snapshot struct {
 	devCacheHits                        uint64
 	tlbHits, tlbMisses, tlbInvals       uint64
 	tlbGen                              uint64
+	ffEpisodes, ffSkipped               uint64
 
 	flashPages, sramPages [][]byte
 
@@ -128,6 +129,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		tlbMisses:    b.MPU.tlbMisses,
 		tlbInvals:    b.MPU.tlbInvals,
 		tlbGen:       b.MPU.gen,
+		ffEpisodes:   m.ff.episodes,
+		ffSkipped:    m.ff.skipped,
 		flashPages:   b.flash.snapshotPages(),
 		sramPages:    b.sram.snapshotPages(),
 		mpuEnabled:   b.MPU.Enabled,
@@ -275,6 +278,9 @@ func (m *Machine) Restore(s *Snapshot) error {
 	b.MPU.tlbHits = s.tlbHits
 	b.MPU.tlbMisses = s.tlbMisses
 	b.MPU.tlbInvals = s.tlbInvals
+	m.resetFF()
+	m.ff.episodes = s.ffEpisodes
+	m.ff.skipped = s.ffSkipped
 
 	m.InstallProofs(s.certs)
 	return nil
@@ -343,6 +349,7 @@ func (m *Machine) Fork() *Machine {
 	nm.Trace = nil
 	nm.traceIDs = nil
 	nm.watch = nil
+	nm.resetFF()
 	// A translation cache holds per-machine state; the clone gets its
 	// own (initially empty) engine rather than sharing the parent's.
 	if m.backend != nil {

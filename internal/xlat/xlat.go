@@ -166,7 +166,7 @@ func (p *prog) run(e *mach.Env) (uint32, error) {
 			regs[pc.slot] = e.Args()[pc.idx]
 		}
 	}
-	bi := 0
+	bi, loops := 0, 0
 	for {
 		if err := e.Tick(); err != nil {
 			return 0, err // unwrapped, as exec treats tick errors
@@ -184,6 +184,11 @@ func (p *prog) run(e *mach.Env) (uint32, error) {
 		}
 		if done {
 			return ret, nil
+		}
+		if next == bi {
+			loops = e.LoopBack(loops)
+		} else {
+			loops = 0
 		}
 		bi = next
 	}
