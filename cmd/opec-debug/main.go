@@ -124,28 +124,32 @@ func main() {
 		if len(args) != 1 {
 			fail(fmt.Errorf("seek wants one argument: a cycle number or 'fault'"))
 		}
-		out, err = s.Seek(seekCycle(s, args[0]))
+		c, err := seekCycle(s, args[0])
+		fail(err)
+		out, err = s.Seek(c)
 		fail(err)
 	case "watch":
 		if len(args) != 1 {
 			fail(fmt.Errorf("watch wants one argument: <global|0xaddr>[:<len>]"))
 		}
-		addr, n := target(s, args[0])
+		addr, n, err := target(s, cmd, args[0])
+		fail(err)
 		out, err = s.Watch(addr, n, *from, *to)
 		fail(err)
 	case "last-writer":
 		if len(args) != 2 {
 			fail(fmt.Errorf("last-writer wants two arguments: <global|0xaddr>[:<len>] <cycle>"))
 		}
-		addr, n := target(s, args[0])
-		c, err := strconv.ParseUint(args[1], 0, 64)
+		addr, n, err := target(s, cmd, args[0])
+		fail(err)
+		c, err := cycleArg(cmd, args[1], "a number")
 		fail(err)
 		out, err = s.LastWriter(addr, n, c)
 		fail(err)
 	case "blame":
 		var c uint64
 		if len(args) == 1 {
-			c, err = strconv.ParseUint(args[0], 0, 64)
+			c, err = cycleArg(cmd, args[0], "a number")
 			fail(err)
 		} else if len(args) > 1 {
 			fail(fmt.Errorf("blame wants at most one argument: a cycle number"))
@@ -164,46 +168,65 @@ func main() {
 	}
 }
 
-// seekCycle resolves seek's argument: a cycle number, or 'fault' for
-// the recording's first fault event.
-func seekCycle(s *opec.DebugSession, arg string) uint64 {
-	if arg == "fault" {
-		c, err := s.FaultCycle()
-		fail(err)
-		return c
-	}
-	c, err := strconv.ParseUint(arg, 0, 64)
-	fail(err)
-	return c
+// symbols is the part of a debug session the argument parsers consult.
+type symbols interface {
+	FaultCycle() (uint64, error)
+	ResolveGlobal(name string) (uint32, int, error)
 }
 
-// target parses <global|0xaddr>[:<len>] against the session's symbol
-// table.
-func target(s *opec.DebugSession, arg string) (uint32, int) {
+// seekCycle resolves seek's argument: a cycle number, or 'fault' for
+// the recording's first fault event.
+func seekCycle(s symbols, arg string) (uint64, error) {
+	if arg == "fault" {
+		c, err := s.FaultCycle()
+		if err != nil {
+			return 0, fmt.Errorf("seek: fault: %w", err)
+		}
+		return c, nil
+	}
+	return cycleArg("seek", arg, "a number or 'fault'")
+}
+
+// cycleArg parses query's cycle argument; want describes what the
+// query accepts.
+func cycleArg(query, arg, want string) (uint64, error) {
+	c, err := strconv.ParseUint(arg, 0, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: cycle %q: want %s", query, arg, want)
+	}
+	return c, nil
+}
+
+// target parses query's <global|0xaddr>[:<len>] argument against the
+// session's symbol table.
+func target(s symbols, query, arg string) (uint32, int, error) {
 	name, lenText, hasLen := strings.Cut(arg, ":")
 	n := 0
 	if hasLen {
 		v, err := strconv.Atoi(lenText)
-		fail(err)
-		if v <= 0 {
-			fail(fmt.Errorf("target %q: length must be positive", arg))
+		if err != nil || v <= 0 {
+			return 0, 0, fmt.Errorf("%s: target %q: length %q: want a positive number", query, arg, lenText)
 		}
 		n = v
 	}
 	if strings.HasPrefix(name, "0x") || strings.HasPrefix(name, "0X") {
 		a, err := strconv.ParseUint(name, 0, 32)
-		fail(err)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s: target %q: address %q: want a 32-bit hex number", query, arg, name)
+		}
 		if n == 0 {
 			n = 1
 		}
-		return uint32(a), n
+		return uint32(a), n, nil
 	}
 	addr, size, err := s.ResolveGlobal(name)
-	fail(err)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%s: target %q: %w", query, arg, err)
+	}
 	if n == 0 {
 		n = size
 	}
-	return addr, n
+	return addr, n, nil
 }
 
 func indent(s string) string {

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"opec/internal/apps"
 	"opec/internal/core"
 	"opec/internal/image"
 	"opec/internal/ir"
@@ -533,5 +535,33 @@ func TestPMPPlan(t *testing.T) {
 	}
 	if p.Virtualized {
 		t.Error("two peripherals should fit the PMP pool")
+	}
+}
+
+// TestPointerFieldsRecorded checks the layout records every external
+// global's pointer-field offsets, exactly as ir.PointerFieldOffsets
+// computes them, and nothing for other globals.
+func TestPointerFieldsRecorded(t *testing.T) {
+	withFields := 0
+	for _, app := range apps.All() {
+		inst := app.New()
+		b, err := core.Compile(inst.Mod, inst.Board, inst.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range inst.Mod.Globals {
+			want := ir.PointerFieldOffsets(g.Typ)
+			got, ok := b.PtrFields[g]
+			switch {
+			case !b.External[g] && ok:
+				t.Errorf("%s: internal global %s has recorded pointer fields", app.Name, g.Name)
+			case b.External[g] && !reflect.DeepEqual(got, want):
+				t.Errorf("%s: %s pointer fields %v, want %v", app.Name, g.Name, got, want)
+			}
+		}
+		withFields += len(b.PtrFields)
+	}
+	if withFields == 0 {
+		t.Error("no workload has an external global with pointer fields")
 	}
 }

@@ -48,6 +48,11 @@ type Build struct {
 	RelocSlot map[*ir.Global]uint32
 	// ExternalList is the name-sorted external set (table order).
 	ExternalList []*ir.Global
+	// PtrFields[g] lists the byte offsets of external global g's
+	// pointer fields (ir.PointerFieldOffsets), which the monitor
+	// redirects on every operation switch; globals without pointer
+	// fields have no entry.
+	PtrFields map[*ir.Global][]int
 
 	// OpSections[opID] is each operation's data section (MPU-aligned).
 	OpSections []image.Section
@@ -161,6 +166,12 @@ func (b *Build) layout() error {
 		b.ExternalList = append(b.ExternalList, g)
 	}
 	sort.Slice(b.ExternalList, func(i, j int) bool { return b.ExternalList[i].Name < b.ExternalList[j].Name })
+	b.PtrFields = make(map[*ir.Global][]int)
+	for _, g := range b.ExternalList {
+		if offs := ir.PointerFieldOffsets(g.Typ); len(offs) > 0 {
+			b.PtrFields[g] = offs
+		}
+	}
 
 	// ---- Flash ----
 	b.CodeBase = mach.FlashBase

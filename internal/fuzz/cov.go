@@ -34,6 +34,9 @@ const FeatureSpace = EdgeSpace * numBuckets
 // AttachTrace pre-interns every module function in module order on each
 // fork, so the same execution produces the same features in every
 // trial, at any parallelism, under either backend.
+//
+// CovSink is a trace.Repeater, so a trial's device-poll loops are
+// fast-forwarded (DESIGN.md §15) with the features unchanged.
 type CovSink struct {
 	prev    uint32
 	hits    []uint8  // saturating per-edge hit counts
@@ -54,28 +57,65 @@ func mix(a, b uint32) uint32 {
 	return h
 }
 
-// HandleEvent implements trace.Handler.
-func (s *CovSink) HandleEvent(e trace.Event) {
-	var cur uint32
+// point hashes one coverage point; ok is false for event kinds that
+// carry no coverage.
+func point(e trace.Event) (cur uint32, ok bool) {
 	switch e.Kind {
 	case trace.EvBranch:
-		cur = mix(e.Arg, e.Arg2)
+		return mix(e.Arg, e.Arg2), true
 	case trace.EvCall:
-		cur = mix(e.Arg2, e.Arg) ^ 0xA5A5_A5A5
+		return mix(e.Arg2, e.Arg) ^ 0xA5A5_A5A5, true
 	case trace.EvGateEnter:
-		cur = mix(e.Arg, uint32(e.Op)) ^ 0x5A5A_5A5A
+		return mix(e.Arg, uint32(e.Op)) ^ 0x5A5A_5A5A, true
 	case trace.EvGateReject:
-		cur = mix(e.Arg, e.Arg2) ^ 0x3C3C_3C3C
-	default:
-		return
+		return mix(e.Arg, e.Arg2) ^ 0x3C3C_3C3C, true
 	}
-	edge := uint16((s.prev >> 1) ^ cur)
-	s.prev = cur
-	if s.hits[edge] == 0 {
+	return 0, false
+}
+
+// HandleEvent implements trace.Handler.
+func (s *CovSink) HandleEvent(e trace.Event) {
+	if cur, ok := point(e); ok {
+		s.cross(uint16((s.prev>>1)^cur), 1)
+		s.prev = cur
+	}
+}
+
+// cross records n more crossings of edge, saturating its hit count at
+// 255; an edge's first crossing appends it to first-hit order.
+func (s *CovSink) cross(edge uint16, n uint64) {
+	h := uint64(s.hits[edge])
+	if h == 0 {
 		s.touched = append(s.touched, edge)
 	}
-	if s.hits[edge] < 255 {
-		s.hits[edge]++
+	s.hits[edge] = uint8(min(h+n, 255))
+}
+
+// HandleRepeat implements trace.Repeater, folding k copies of window as
+// k·len(window) HandleEvent calls would. Cycle stamps do not enter the
+// features, so period does not matter. The first copy runs event by
+// event, which keeps first-hit order. It leaves prev where every later
+// copy starts too, so the other k-1 copies cross the same edges as one
+// another, and each crossing adds k-1 hits. Their edges were all hit by
+// the first copy when the window is the last stretch of the stream, as
+// Buffer.Repeat hands it over; otherwise a new one joins first-hit
+// order at its place in the second copy.
+func (s *CovSink) HandleRepeat(window []trace.Event, k, _ uint64) {
+	if k == 0 {
+		return
+	}
+	for _, e := range window {
+		s.HandleEvent(e)
+	}
+	if k == 1 {
+		return
+	}
+	prev := s.prev
+	for _, e := range window {
+		if cur, ok := point(e); ok {
+			s.cross(uint16((prev>>1)^cur), k-1)
+			prev = cur
+		}
 	}
 }
 

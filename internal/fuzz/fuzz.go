@@ -63,6 +63,11 @@ type Options struct {
 	Policy monitor.Policy
 	// Backend selects the execution backend ("" = interpreter).
 	Backend string
+
+	// sink, when set, wraps each trial's coverage sink before it is
+	// attached; tests use it to observe trials and to hide the sink's
+	// trace.Repeater half.
+	sink func(*CovSink) trace.Handler
 }
 
 // Finding is one non-clean trial, with its complete replay coordinate.
@@ -216,7 +221,7 @@ func Run(opts Options) (*Report, error) {
 		// Execution: fan out over the worker forges. Each trial is a
 		// pure function of (checkpoint, spec), so assignment order
 		// cannot matter.
-		runBatch(forges, batch[:n], results[:n], opts.Policy, rep.TrialCycles)
+		runBatch(forges, batch[:n], results[:n], opts, rep.TrialCycles)
 		// Merge: input-index order decides edge novelty, corpus
 		// retention and finding order.
 		for i := 0; i < n; i++ {
@@ -351,12 +356,16 @@ func schedule(rng *rand.Rand, n int) int {
 
 // runBatch executes batch over the worker forges, one goroutine per
 // forge, writing into index-addressed result slots.
-func runBatch(forges []*inject.Forge, batch []pending, results []trialResult, pol monitor.Policy, maxCycles uint64) {
+func runBatch(forges []*inject.Forge, batch []pending, results []trialResult, opts Options, maxCycles uint64) {
 	runOne := func(f *inject.Forge, p pending, r *trialResult) {
 		buf := trace.NewBuffer(256)
 		sink := NewCovSink()
-		buf.Attach(sink)
-		r.out, r.err = f.TraceRun(p.spec, pol, maxCycles, buf, true)
+		if opts.sink != nil {
+			buf.Attach(opts.sink(sink))
+		} else {
+			buf.Attach(sink)
+		}
+		r.out, r.err = f.TraceRun(p.spec, opts.Policy, maxCycles, buf, true)
 		r.features = sink.Features()
 	}
 	if len(forges) == 1 || len(batch) == 1 {

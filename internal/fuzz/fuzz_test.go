@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"reflect"
 	"testing"
 
 	"opec/internal/apps"
@@ -218,5 +219,127 @@ func TestCovSinkFolding(t *testing.T) {
 
 	if n := g.addAll(d.Features()); n != 0 {
 		t.Errorf("re-merge added %d features, want 0", n)
+	}
+}
+
+// features folds stream with HandleEvent.
+func features(stream []trace.Event) []uint32 {
+	s := NewCovSink()
+	for _, e := range stream {
+		s.HandleEvent(e)
+	}
+	return s.Features()
+}
+
+// TestCovSinkRepeatMatchesEvents checks HandleRepeat against k·n
+// HandleEvent calls: k = 0 and 1, edges first hit inside the repeated
+// window (first-hit order), an edge crossed twice per copy, counts
+// pushed past 255, and windows without coverage events.
+func TestCovSinkRepeatMatchesEvents(t *testing.T) {
+	ev := func(kind trace.Kind, a, b uint32) trace.Event {
+		return trace.Event{Kind: kind, Op: -1, Arg: a, Arg2: b}
+	}
+	prefix := []trace.Event{ev(trace.EvBranch, 1, 0), ev(trace.EvCall, 2, 1)}
+	windows := [][]trace.Event{
+		{ev(trace.EvBranch, 2, 0)},
+		{ev(trace.EvBranch, 2, 0), ev(trace.EvCall, 3, 2), ev(trace.EvCallRet, 3, 0), ev(trace.EvBranch, 2, 0)},
+		{ev(trace.EvBranch, 1, 0), ev(trace.EvGateEnter, 4, 0), ev(trace.EvGateReject, 4, 1), ev(trace.EvBranch, 9, 3)},
+		{ev(trace.EvPhase, 1, 0), ev(trace.EvCallRet, 2, 0)},
+	}
+	for wi, w := range windows {
+		for _, k := range []uint64{0, 1, 2, 3, 64, 127, 128, 300} {
+			// The window is handed over after it was emitted once, as
+			// Buffer.Repeat does, and also cold.
+			for _, warm := range []bool{true, false} {
+				lead := append([]trace.Event(nil), prefix...)
+				if warm {
+					lead = append(lead, w...)
+				}
+				var stream []trace.Event
+				stream = append(stream, lead...)
+				for j := uint64(0); j < k; j++ {
+					for _, e := range w {
+						e.Cycle += (j + 1) * 5
+						stream = append(stream, e)
+					}
+				}
+				s := NewCovSink()
+				for _, e := range lead {
+					s.HandleEvent(e)
+				}
+				s.HandleRepeat(w, k, 5)
+				if got, want := s.Features(), features(stream); !reflect.DeepEqual(got, want) {
+					t.Errorf("window %d, k=%d, warm=%v: HandleRepeat features\n  %v\nHandleEvent features\n  %v", wi, k, warm, got, want)
+				}
+			}
+		}
+	}
+}
+
+// eventsOnly hides a coverage sink's trace.Repeater half, so every
+// poll iteration of its trial executes.
+type eventsOnly struct{ *CovSink }
+
+func (s eventsOnly) HandleEvent(e trace.Event) { s.CovSink.HandleEvent(e) }
+
+// countRepeats passes a coverage sink through, counting the repeated
+// windows it absorbs.
+type countRepeats struct {
+	*CovSink
+	calls *int
+}
+
+func (s countRepeats) HandleRepeat(w []trace.Event, k, period uint64) {
+	*s.calls++
+	s.CovSink.HandleRepeat(w, k, period)
+}
+
+// campaignFeatures runs a single-worker campaign, so trials run in
+// input order, and returns its report, every input's features and how
+// many windows the sinks absorbed in closed form.
+func campaignFeatures(t *testing.T, opts Options, hide bool) (*Report, [][]uint32, int) {
+	t.Helper()
+	var sinks []*CovSink
+	repeats := 0
+	opts.Parallel = 1
+	opts.sink = func(s *CovSink) trace.Handler {
+		sinks = append(sinks, s)
+		if hide {
+			return eventsOnly{s}
+		}
+		return countRepeats{s, &repeats}
+	}
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := make([][]uint32, len(sinks))
+	for i, s := range sinks {
+		feats[i] = s.Features()
+	}
+	return rep, feats, repeats
+}
+
+// TestCampaignSameWithoutRepeat runs the same campaign with coverage
+// sinks that absorb skipped poll iterations in closed form and with
+// sinks that hide that ability, which makes every trial execute every
+// iteration. The reports and every input's features must agree, on
+// both backends.
+func TestCampaignSameWithoutRepeat(t *testing.T) {
+	for _, backend := range []string{"", "xlat"} {
+		opts := testOptions()
+		opts.Budget = 32
+		opts.Backend = backend
+		fast, fastFeats, repeats := campaignFeatures(t, opts, false)
+		ref, refFeats, _ := campaignFeatures(t, opts, true)
+		if repeats == 0 {
+			t.Errorf("backend %q: no trial absorbed a repeated window", backend)
+		}
+		if got, want := fast.Render(), ref.Render(); got != want {
+			t.Errorf("backend %q: report with repeats differs:\n--- repeats ---\n%s--- reference ---\n%s", backend, got, want)
+		}
+		if !reflect.DeepEqual(fastFeats, refFeats) {
+			t.Errorf("backend %q: per-input features differ", backend)
+		}
 	}
 }

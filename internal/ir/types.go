@@ -197,10 +197,11 @@ func collectPointerFields(t Type, base int, out *[]PtrField) {
 }
 
 // PointerFieldOffsets returns the byte offsets of all pointer-typed
-// scalar slots inside t, recursively. The OPEC compiler records these for
-// every external global so the monitor can redirect pointer fields that
-// point at another operation's shadow copies during an operation switch
-// (Section 4.2 / 5.3).
+// scalar slots inside t, recursively, visiting every array element. The
+// OPEC compiler records these for every external global at layout
+// (core.Build.PtrFields) so the monitor can redirect pointer fields
+// that point at another operation's shadow copies during an operation
+// switch (Section 4.2 / 5.3) without walking the type again.
 func PointerFieldOffsets(t Type) []int {
 	var offs []int
 	collectPointerOffsets(t, 0, &offs)

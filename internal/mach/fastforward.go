@@ -12,7 +12,8 @@ package mach
 // to itself. The primitive watches three consecutive iterations and
 // skips ahead only when all of them
 //
-//   - store nothing and take no exception (fault, SVC or IRQ), and
+//   - store nothing, take no exception (fault, SVC or IRQ) and do not
+//     enter the function of an armed entry trigger, and
 //   - read devices only at registers whose horizon (Quiescent) lies
 //     ahead of the skipped span,
 //
@@ -28,25 +29,36 @@ package mach
 // Such an iteration is a pure function of state that the skipped span
 // does not change, so the next k iterations repeat it: the primitive
 // advances the clock, the instruction count and every per-iteration
-// counter by k times the last watched iteration's deltas. That
+// counter by k times the last watched iteration's deltas, and has the
+// attached trace, if any, repeat that iteration's events k times. That
 // iteration follows an identical one, which is what makes its deltas
 // repeat: the host-side caches reach a fixed point after one identical
 // iteration — the direct-mapped micro-TLB and the last-device cache end
 // each iteration holding the entries its final accesses installed, and
 // every pooled frame it touches has grown to size. The first watched
-// iteration only screens for stores and exceptions, so loops that store
-// pay two compares per back edge and no register copy.
+// iteration is only screened, so loops that store pay a few compares
+// per back edge and no register copy.
 //
 // k is the largest count of whole iterations that end strictly before
 // the earliest horizon read in the window and whose block-boundary
 // ticks stay within MaxCycles, so the first iteration that might see a
 // changed device, or trip the cycle budget, runs for real.
 //
+// The events an iteration emits are one more per-iteration quantity:
+// the trace's emitted count is captured with the counters, and
+// trace.Buffer.Repeat appends k copies of the last iteration's events,
+// each shifted by one more period. An armed entry-count trigger is
+// screened like a store: each entry of its function counts it down, so
+// a window that enters the function is watched again, while a loop that
+// never enters it skips with the trigger armed.
+//
 // The primitive declines whenever something observes individual
-// iterations: an attached trace, a store or raw-write watchpoint, an
-// armed injection, an OnFuncEnter hook or an IRQ binding. Traced runs
-// therefore execute every iteration and serve as the reference that
-// untraced runs are differentially checked against.
+// iterations: a store or raw-write watchpoint, an instruction-count
+// (At) injection trigger, an OnFuncEnter hook, an IRQ binding, or a
+// trace handler that is not a trace.Repeater. Runs traced through such
+// a handler — the profiler, the debugger's recorders — therefore
+// execute every iteration and serve as the reference that skipping
+// runs are differentially checked against.
 
 // Never is the horizon of a register whose value changes only through
 // a store or a side-effecting access, never through the passage of
@@ -141,9 +153,15 @@ type loopWitness struct {
 	sp   uint32
 	priv bool
 	regs []uint32
-	// At the third back edge: the ffCounted values the last watched
-	// iteration's deltas are taken from.
-	at [ffNumCounted]uint64
+	// The armed injection and its entry trigger's remaining count at
+	// the back edge where watching began (see triggerMoved).
+	inj  *Injection
+	injN int
+	// At the third back edge: the ffCounted values and the trace's
+	// emitted count that the last watched iteration's deltas are taken
+	// from.
+	at     [ffNumCounted]uint64
+	events uint64
 }
 
 // ffNumCounted is the number of quantities ffCounted lists.
@@ -176,28 +194,29 @@ func (b *Bus) protEpoch() (gen uint64, on, ok bool) {
 // loopBack is the fast-forward primitive. Both engines call it when a
 // block branches back to itself; n is how many consecutive times this
 // activation has done so for the same block (0 the first time), and
-// the result is the count to pass at the next back edge. A traced run
-// pays this one branch.
+// the result is the count to pass at the next back edge. A run traced
+// through a handler that needs every event pays this one test.
 func (m *Machine) loopBack(fr *frame, n int) int {
-	if m.Trace != nil {
+	if !m.Trace.Repeatable() {
 		return 0
 	}
 	return m.ffStep(fr, n)
 }
 
 // ffStep watches the loop one back edge at a time. The first watched
-// iteration is checked only for stores and exceptions, so a loop that
-// stores — most loops — costs two compares per iteration. After it,
-// the register file and machine state are captured; the second
-// iteration must reproduce them, making it a fixed point, and the third
-// supplies the deltas that every later iteration repeats.
+// iteration is checked only for stores, exceptions and entries of an
+// armed trigger function, so a loop that stores — most loops — costs a
+// few compares per iteration. After it, the register file and machine
+// state are captured; the second iteration must reproduce them, making
+// it a fixed point, and the third supplies the deltas that every later
+// iteration repeats.
 func (m *Machine) ffStep(fr *frame, n int) int {
-	if m.watch != nil || m.inj != nil || m.Handlers.OnFuncEnter != nil ||
-		len(m.irqs) != 0 || m.Bus.rawWatch != nil {
+	if m.watch != nil || m.Handlers.OnFuncEnter != nil || len(m.irqs) != 0 ||
+		m.Bus.rawWatch != nil || m.inj != nil && m.inj.Func == nil {
 		return 0
 	}
 	w := &fr.ff
-	if n == 0 || m.Bus.writes != w.writes || m.exceptions != w.excs {
+	if n == 0 || m.Bus.writes != w.writes || m.exceptions != w.excs || m.triggerMoved(w) {
 		return m.ffWatch(w)
 	}
 	if n == 1 {
@@ -216,16 +235,28 @@ func (m *Machine) ffStep(fr *frame, n int) int {
 		for i, p := range m.ffCounted() {
 			w.at[i] = *p
 		}
+		w.events = m.Trace.Emitted()
 		return 3
 	}
 	m.ffSkip(w)
 	return m.ffWatch(w)
 }
 
+// triggerMoved reports whether the armed entry trigger's function was
+// entered since watching began: each entry counts the trigger down, and
+// the one that fires it disarms it.
+func (m *Machine) triggerMoved(w *loopWitness) bool {
+	return m.inj != w.inj || m.inj != nil && m.inj.N != w.injN
+}
+
 // ffWatch starts watching at this back edge.
 func (m *Machine) ffWatch(w *loopWitness) int {
 	m.Bus.horizons = &m.ff.log
 	w.writes, w.excs, w.logSeq = m.Bus.writes, m.exceptions, m.ff.log.seq()
+	w.inj = m.inj
+	if m.inj != nil {
+		w.injN = m.inj.N
+	}
 	return 1
 }
 
@@ -263,6 +294,11 @@ func (m *Machine) ffSkip(w *loopWitness) {
 		k = kb
 	}
 	if k == 0 {
+		return
+	}
+	// The trace's emitted count is one more per-iteration counter: the
+	// skipped iterations emit what the last one did, shifted by d.
+	if !m.Trace.Repeat(m.Trace.Emitted()-w.events, k, d) {
 		return
 	}
 	m.ff.episodes++

@@ -102,16 +102,36 @@ type ffResult struct {
 	err      string
 	cycles   uint64
 	counters string // every machine counter but mach.ff.*
+	trace    string // the ring's render and counters; "" untraced
 	episodes uint64
 }
+
+// traceMode selects the trace a test run attaches.
+type traceMode int
+
+const (
+	untraced traceMode = iota
+	// ringOnly attaches a trace with no handler, whose events the
+	// fast-forward repeats in closed form.
+	ringOnly
+	// reference adds a handler that is not a trace.Repeater, so every
+	// iteration executes: the run the others are checked against.
+	reference
+)
+
+// everyEvent is a trace handler that needs every event, which makes
+// the fast-forward decline.
+type everyEvent struct{ n uint64 }
+
+func (h *everyEvent) HandleEvent(trace.Event) { h.n++ }
 
 // ffSetup adjusts a machine before the run (arming, watching, ...).
 type ffSetup func(m *Machine, dev Device)
 
 // runPoll runs a pollModule program with the status register ready at
-// readyAt under a cycle budget. traced attaches a trace, which makes
-// the fast-forward decline: the reference run.
-func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, traced bool, setup ffSetup) (ffResult, *statusDev) {
+// readyAt under a cycle budget. A traced run emits per-block coverage
+// events too.
+func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, mode traceMode, setup ffSetup) (ffResult, *statusDev) {
 	t.Helper()
 	mod := pollModule(shape)
 	m := testMachine(t, mod)
@@ -127,8 +147,14 @@ func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, 
 		t.Fatal(err)
 	}
 	m.Bus.dwtEnabled = true
-	if traced {
-		m.AttachTrace(trace.NewBuffer(64))
+	var buf *trace.Buffer
+	if mode != untraced {
+		buf = trace.NewBuffer(64)
+		m.AttachTrace(buf)
+		m.CovEvents = true
+	}
+	if mode == reference {
+		buf.Attach(&everyEvent{})
 	}
 	if setup != nil {
 		setup(m, dev)
@@ -137,6 +163,9 @@ func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, 
 	r := ffResult{ret: ret, cycles: m.Clock.Now(), episodes: m.ff.episodes}
 	if err != nil {
 		r.err = err.Error()
+	}
+	if buf != nil {
+		r.trace = buf.RenderText() + trace.RenderCounters(buf.Counters())
 	}
 	var cs []string
 	for _, c := range m.Counters() {
@@ -148,17 +177,27 @@ func runPoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, 
 	return r, sd
 }
 
-// samePoll runs the program untraced and traced and requires identical
-// outcomes, returning the untraced run's skip count.
+// samePoll runs the program untraced, with a ring-only trace and as
+// the reference, and requires identical outcomes, returning the
+// untraced run's skip count. The ring-only run must skip exactly as
+// often and leave the reference's ring.
 func samePoll(t *testing.T, shape pollShape, quiet bool, readyAt, budget uint64, setup ffSetup) uint64 {
 	t.Helper()
-	fast, _ := runPoll(t, shape, quiet, readyAt, budget, false, setup)
-	ref, _ := runPoll(t, shape, quiet, readyAt, budget, true, setup)
+	fast, _ := runPoll(t, shape, quiet, readyAt, budget, untraced, setup)
+	ring, _ := runPoll(t, shape, quiet, readyAt, budget, ringOnly, setup)
+	ref, _ := runPoll(t, shape, quiet, readyAt, budget, reference, setup)
 	if ref.episodes != 0 {
-		t.Fatalf("traced run fast-forwarded %d times", ref.episodes)
+		t.Fatalf("reference run fast-forwarded %d times", ref.episodes)
+	}
+	if ring.episodes != fast.episodes {
+		t.Fatalf("ready@%d budget %d: ring-only traced run skipped %d times, untraced %d", readyAt, budget, ring.episodes, fast.episodes)
 	}
 	episodes := fast.episodes
-	fast.episodes = 0
+	fast.episodes, ring.episodes = 0, 0
+	if ring != ref {
+		t.Fatalf("ready@%d budget %d: ring-only traced run\n  %+v\nreference\n  %+v", readyAt, budget, ring, ref)
+	}
+	fast.trace = ref.trace
 	if fast != ref {
 		t.Fatalf("ready@%d budget %d: fast-forward run\n  %+v\nreference\n  %+v", readyAt, budget, fast, ref)
 	}
@@ -179,7 +218,7 @@ func TestFastForwardSkipsPollLoop(t *testing.T) {
 // skipping run to exit the loop on exactly the reference's cycle.
 func TestFastForwardHorizonAtIterationBoundary(t *testing.T) {
 	for _, shape := range []pollShape{pollInline, pollCall} {
-		_, sd := runPoll(t, shape, true, 1<<40, 20_000, true, nil)
+		_, sd := runPoll(t, shape, true, 1<<40, 20_000, reference, nil)
 		reads := sd.reads
 		period := reads[len(reads)-1] - reads[len(reads)-2]
 		if period == 0 || reads[1]-reads[0] != period {
@@ -221,7 +260,7 @@ func readLead(t *testing.T, shape pollShape) uint64 {
 // iteration as well as at its start.
 func TestFastForwardCycleBudget(t *testing.T) {
 	for _, shape := range []pollShape{pollInline, pollCall} {
-		_, sd := runPoll(t, shape, true, 1<<40, 20_000, true, nil)
+		_, sd := runPoll(t, shape, true, 1<<40, 20_000, reference, nil)
 		period := sd.reads[1] - sd.reads[0]
 		base := sd.reads[300]
 		for budget := base; budget < base+2*period+1; budget++ {
@@ -229,7 +268,7 @@ func TestFastForwardCycleBudget(t *testing.T) {
 				t.Errorf("shape %d, budget %d: never fast-forwarded", shape, budget)
 			}
 		}
-		r, _ := runPoll(t, shape, true, 1<<40, base, false, nil)
+		r, _ := runPoll(t, shape, true, 1<<40, base, untraced, nil)
 		if !strings.Contains(r.err, ErrCycleLimit.Error()) {
 			t.Errorf("shape %d: run ended with %q, want the cycle limit", shape, r.err)
 		}
@@ -317,6 +356,59 @@ func TestFastForwardDeclines(t *testing.T) {
 	}
 }
 
+// TestFastForwardEntryTriggerInLoop arms an entry trigger on status,
+// which the pollCall loop enters every iteration. Each entry counts the
+// trigger down, so the loop is watched again after every iteration and
+// cannot skip while the trigger is armed: it fires on the reference's
+// cycle, and once it has fired the loop skips. A trigger that never
+// reaches zero keeps the whole loop unskipped.
+func TestFastForwardEntryTriggerInLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 300, 1 << 30} {
+		var fired []uint64
+		arm := func(m *Machine, _ Device) {
+			m.Arm(&Injection{Func: m.Mod.MustFunc("status"), N: n, Fire: func(m *Machine) error {
+				fired = append(fired, m.Clock.Now())
+				return nil
+			}})
+		}
+		episodes := samePoll(t, pollCall, true, 50_000, 1<<40, arm)
+		if n == 1<<30 {
+			if len(fired) != 0 || episodes != 0 {
+				t.Errorf("N=%d: fired %v, %d skips; want no fire and no skip", n, fired, episodes)
+			}
+			continue
+		}
+		if len(fired) != 3 || fired[0] != fired[1] || fired[1] != fired[2] {
+			t.Errorf("N=%d: trigger fired at cycles %v (untraced, ring-only, reference), want one cycle", n, fired)
+		}
+		if episodes == 0 {
+			t.Errorf("N=%d: loop never skipped after the trigger fired", n)
+		}
+	}
+}
+
+// TestFastForwardEntryTriggerNotEntered arms an entry trigger on wait,
+// which the pollCall program never calls: the loop skips with the
+// trigger armed, and the trigger is still armed at the end.
+func TestFastForwardEntryTriggerNotEntered(t *testing.T) {
+	var armed []*Machine
+	arm := func(m *Machine, _ Device) {
+		m.Arm(&Injection{Func: m.Mod.MustFunc("wait"), N: 1, Fire: func(*Machine) error {
+			t.Error("trigger on a function the program never calls fired")
+			return nil
+		}})
+		armed = append(armed, m)
+	}
+	if n := samePoll(t, pollCall, true, 50_000, 1<<40, arm); n == 0 {
+		t.Error("loop never skipped while a trigger it does not enter was armed")
+	}
+	for _, m := range armed {
+		if m.inj == nil || m.inj.N != 1 {
+			t.Errorf("trigger disturbed: %+v", m.inj)
+		}
+	}
+}
+
 // TestFastForwardLoopCarriedRegister runs a self-loop that counts in
 // registers alone: ir.Verify does not enforce dominance, so an operand
 // may name a register defined later in its own block, carrying a value
@@ -338,7 +430,9 @@ func TestFastForwardLoopCarriedRegister(t *testing.T) {
 	run := func(traced bool) (uint32, uint64, uint64) {
 		mm := testMachine(t, m)
 		if traced {
-			mm.AttachTrace(trace.NewBuffer(64))
+			buf := trace.NewBuffer(64)
+			buf.Attach(&everyEvent{})
+			mm.AttachTrace(buf)
 		}
 		ret, err := mm.Run(m.MustFunc("main"))
 		if err != nil {

@@ -662,7 +662,7 @@ func (mon *Monitor) updateRelocTable(op *core.Operation) {
 func (mon *Monitor) redirectPointerFields(op *core.Operation) {
 	b := mon.B
 	for _, g := range b.SyncList(op) {
-		offs := ir.PointerFieldOffsets(g.Typ)
+		offs := b.PtrFields[g]
 		if len(offs) == 0 {
 			continue
 		}

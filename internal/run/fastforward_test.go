@@ -21,21 +21,42 @@ type ffObs struct {
 	instrs   uint64
 	digest   string
 	counters map[string]uint64 // every registry counter but mach.ff.*
+	trace    string            // the ring's render; "" untraced
 	skipped  uint64            // mach.ff.skipped_instrs
 }
+
+// traceMode selects the trace an observation attaches.
+type traceMode int
+
+const (
+	untraced traceMode = iota
+	// ringOnly attaches a trace with no handler, whose events the
+	// fast-forward repeats in closed form.
+	ringOnly
+	// reference adds a handler that is not a trace.Repeater, so every
+	// iteration executes: the run the others are checked against.
+	reference
+)
+
+// everyEvent is a trace handler that needs every event, which makes
+// the fast-forward decline.
+type everyEvent struct{}
+
+func (everyEvent) HandleEvent(trace.Event) {}
 
 // ffSchemes are the five builds the evaluation runs.
 var ffSchemes = []string{"vanilla", "opec", "aces1", "aces2", "aces3"}
 
-// observeFF runs app under scheme on backend, traced or not. An
-// attached trace makes the fast-forward decline, so the traced run
-// executes every iteration and is the reference.
-func observeFF(t *testing.T, app *apps.App, scheme, backend string, traced bool) ffObs {
+// observeFF runs app under scheme on backend with the given trace.
+func observeFF(t *testing.T, app *apps.App, scheme, backend string, mode traceMode) ffObs {
 	t.Helper()
 	inst := app.New()
 	opts := run.Options{Backend: backend}
-	if traced {
+	if mode != untraced {
 		opts.Trace = trace.NewBuffer(256)
+	}
+	if mode == reference {
+		opts.Trace.Attach(everyEvent{})
 	}
 	var res *run.Result
 	var err error
@@ -72,6 +93,10 @@ func observeFF(t *testing.T, app *apps.App, scheme, backend string, traced bool)
 	o.cycles, o.instrs, o.digest = res.Cycles, m.InstrCount, m.StateDigest()
 	reg := trace.NewRegistry()
 	reg.Register(m)
+	if opts.Trace != nil {
+		reg.Register(opts.Trace)
+		o.trace = opts.Trace.RenderText()
+	}
 	if res.Mon != nil {
 		reg.Register(&res.Mon.Stats)
 	}
@@ -109,6 +134,9 @@ func (o ffObs) diff(ref ffObs) string {
 	if len(o.counters) != len(ref.counters) {
 		d = append(d, fmt.Sprintf("%d counters, reference %d", len(o.counters), len(ref.counters)))
 	}
+	if o.trace != ref.trace {
+		d = append(d, "trace ring differs from the reference's")
+	}
 	return strings.Join(d, "; ")
 }
 
@@ -116,8 +144,10 @@ func (o ffObs) diff(ref ffObs) string {
 // the busy-wait fast-forward: every workload under every scheme, on
 // both execution backends, must produce the same cycles, instruction
 // count, final state digest, correctness-check outcome and registry
-// counters untraced (skipping) as traced (executing every iteration).
-// It also proves the skip engages on both backends.
+// counters untraced and ring-only traced (both skipping) as the
+// reference (executing every iteration), and the ring-only trace must
+// hold the reference's events, emitted and dropped counts. It also
+// proves the skip engages on both backends, traced or not.
 func TestFastForwardMatchesTracedRuns(t *testing.T) {
 	if testing.Short() || raceDetector {
 		// Single-threaded and long; the race detector adds nothing.
@@ -127,13 +157,26 @@ func TestFastForwardMatchesTracedRuns(t *testing.T) {
 		skipping := map[string]bool{}
 		for _, app := range apps.All() {
 			for _, scheme := range ffSchemes {
-				fast := observeFF(t, app, scheme, backend, false)
-				ref := observeFF(t, app, scheme, backend, true)
+				fast := observeFF(t, app, scheme, backend, untraced)
+				ring := observeFF(t, app, scheme, backend, ringOnly)
+				ref := observeFF(t, app, scheme, backend, reference)
+				if d := ring.diff(ref); d != "" {
+					t.Errorf("%s %s/%s ring-only trace: %s", backend, app.Name, scheme, d)
+				}
+				if ring.skipped != fast.skipped {
+					t.Errorf("%s %s/%s: ring-only traced run skipped %d instructions, untraced %d", backend, app.Name, scheme, ring.skipped, fast.skipped)
+				}
+				fast.trace = ref.trace
+				for name, v := range ref.counters {
+					if strings.HasPrefix(name, "trace.") {
+						fast.counters[name] = v
+					}
+				}
 				if d := fast.diff(ref); d != "" {
 					t.Errorf("%s %s/%s: %s", backend, app.Name, scheme, d)
 				}
 				if ref.skipped != 0 {
-					t.Errorf("%s %s/%s: traced run skipped %d instructions", backend, app.Name, scheme, ref.skipped)
+					t.Errorf("%s %s/%s: reference run skipped %d instructions", backend, app.Name, scheme, ref.skipped)
 				}
 				if fast.skipped > 0 {
 					skipping[app.Name] = true

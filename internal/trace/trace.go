@@ -16,6 +16,14 @@
 //   - Transparency when enabled: emitting only reads the cycle clock.
 //     Cycle accounting, fault order and rendered experiment tables are
 //     byte-identical with tracing on or off.
+//
+// Buffer.Repeat lets the machine's busy-wait fast-forward skip a
+// traced poll loop: it appends k shifted copies of the loop
+// iteration's events in closed form, exactly as emitting them would.
+// It works only when every handler implements Repeater (the fuzzer's
+// coverage sink does); handlers that need each event one by one (the
+// profiler, the debugger's recorders) make it refuse, so those runs
+// still execute every iteration.
 package trace
 
 import (
@@ -153,6 +161,17 @@ type Handler interface {
 	HandleEvent(e Event)
 }
 
+// Repeater is a Handler that can absorb a repeated window in closed
+// form. HandleRepeat(window, k, period) must leave the handler exactly
+// as k·len(window) HandleEvent calls would, handing it copy j (1..k) of
+// window with every cycle stamp shifted by j·period. A handler that
+// needs every event delivered one by one does not implement it, and
+// then Buffer.Repeat refuses.
+type Repeater interface {
+	Handler
+	HandleRepeat(window []Event, k, period uint64)
+}
+
 // Buffer is the event bus: a fixed-capacity ring with drop accounting,
 // an interned name table and optional streaming handlers. A nil
 // *Buffer is a valid, disabled bus: Emit on nil is a no-op, which is
@@ -176,6 +195,10 @@ type Buffer struct {
 	// per-cycle binary search would silently misresolve.
 	lastCycle        uint64
 	cycleRegressions uint64
+	// needsEvents is set once a handler that is not a Repeater is
+	// attached; window is Repeat's scratch copy of the repeated events.
+	needsEvents bool
+	window      []Event
 }
 
 // DefaultCapacity is the ring size NewBuffer(0) selects.
@@ -196,7 +219,16 @@ func NewBuffer(capacity int) *Buffer {
 }
 
 // Attach registers a streaming handler.
-func (b *Buffer) Attach(h Handler) { b.sinks = append(b.sinks, h) }
+func (b *Buffer) Attach(h Handler) {
+	if _, ok := h.(Repeater); !ok {
+		b.needsEvents = true
+	}
+	b.sinks = append(b.sinks, h)
+}
+
+// Repeatable reports whether Repeat can record in closed form: every
+// attached handler is a Repeater. A nil buffer is repeatable.
+func (b *Buffer) Repeatable() bool { return b == nil || !b.needsEvents }
 
 // Intern returns the stable id for name, assigning one on first use.
 func (b *Buffer) Intern(name string) uint32 {
@@ -236,6 +268,95 @@ func (b *Buffer) Emit(e Event) {
 	}
 	b.ring[b.head%uint64(len(b.ring))] = e
 	b.head++
+}
+
+// Repeat records k more copies of the last n events, copy j (1..k)
+// with every cycle stamp shifted by j·period. It leaves the ring, the
+// emitted and dropped counts, the cycle regression count and every
+// handler exactly as the k·n matching Emit calls would, without
+// making them. It returns false and changes nothing unless every
+// attached handler is a Repeater (a ring-only buffer qualifies) and the
+// ring still holds the n events. A nil buffer records nothing, as Emit
+// does, and reports true.
+func (b *Buffer) Repeat(n, k, period uint64) bool {
+	if b == nil {
+		return true
+	}
+	if b.needsEvents || n > uint64(b.Len()) {
+		return false
+	}
+	if n == 0 || k == 0 {
+		return true
+	}
+	size := uint64(len(b.ring))
+	w := b.window[:0]
+	for i := b.head - n; i < b.head; i++ {
+		w = append(w, b.ring[i%size])
+	}
+	b.window = w
+	regressions, high := repeatCycles(w, k, period, b.lastCycle)
+	b.cycleRegressions += regressions
+	b.lastCycle = high
+	for _, h := range b.sinks {
+		h.(Repeater).HandleRepeat(w, k, period)
+	}
+	// Of the k·n new events, only the last len(ring) stay in the ring.
+	total := k * n
+	first := uint64(0)
+	if total > size {
+		first = total - size
+	}
+	for t := first; t < total; t++ {
+		e := w[t%n]
+		e.Cycle += (t/n + 1) * period
+		b.ring[(b.head+t)%size] = e
+	}
+	b.head += total
+	return true
+}
+
+// repeatCycles returns the cycle regressions that k shifted copies of
+// w add to a stream whose high-water mark is last, and the high-water
+// mark after them. A poll window adds none, but the count exists to
+// expose a machine restored under a stale buffer, so it must come out
+// as Emit would count it for any window. Emit keeps last at least as
+// high as every event w holds. Event c of copy j regresses when c is
+// below an earlier event of w (the same in every copy), when c+period
+// is below w's latest event (copy j-1 ended above it), or while
+// c+j·period is below last.
+func repeatCycles(w []Event, k, period, last uint64) (regressions, high uint64) {
+	var top uint64
+	for _, e := range w {
+		if e.Cycle > top {
+			top = e.Cycle
+		}
+	}
+	var prefix uint64
+	for _, e := range w {
+		c := e.Cycle
+		switch {
+		case c < prefix || c+period < top:
+			regressions += k
+		case c >= last:
+		case period == 0:
+			regressions += k
+		default:
+			// Copies j with c + j·period <= last-1.
+			if j := (last - 1 - c) / period; j < k {
+				regressions += j
+			} else {
+				regressions += k
+			}
+		}
+		if c > prefix {
+			prefix = c
+		}
+	}
+	high = last
+	if h := top + k*period; h > high {
+		high = h
+	}
+	return regressions, high
 }
 
 // CycleRegressions counts events whose cycle stamp went backward
