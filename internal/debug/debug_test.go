@@ -1,6 +1,7 @@
 package debug
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,12 +92,85 @@ func TestSeekGoldenBothBackends(t *testing.T) {
 	}
 }
 
-// TestSeekPastEndRejected pins the out-of-range diagnostic.
+// TestSeekPastEndRejected pins the out-of-range diagnostics: a cycle
+// past the last recorded event, and one before the first, where no
+// event is the target.
 func TestSeekPastEndRejected(t *testing.T) {
 	s := golden(t, "")
 	if _, err := s.Seek(s.Store().LastCycle() + 1); err == nil {
 		t.Fatal("seek past the end of the run succeeded")
 	}
+	first := s.Store().Event(0).Cycle
+	if first == 0 {
+		t.Fatal("the golden run's first event is at cycle 0; no cycle precedes it")
+	}
+	for _, c := range []uint64{0, first - 1} {
+		_, err := s.Seek(c)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("first event (at cycle %d)", first)) {
+			t.Errorf("seek %d before the first event at cycle %d: error %v", c, first, err)
+		}
+	}
+}
+
+// TestSeekStreamingSuffixCheck tampers with the golden recording and
+// pins what seek's streaming suffix check refuses: exactly what
+// comparing the rendered suffixes from the keyframe on would.
+func TestSeekStreamingSuffixCheck(t *testing.T) {
+	s := golden(t, "")
+	st := s.Store()
+	c := st.Event(st.Len() / 2).Cycle
+	from := s.Keyframes().Nearest(c).Event
+	call := -1
+	for _, i := range st.ByKind(trace.EvCall) {
+		if e := st.Event(i); i >= from && e.Arg != e.Arg2 {
+			call = i
+			break
+		}
+	}
+	if call < 0 {
+		t.Fatal("no call event at or after the keyframe")
+	}
+	seek := func(what string, wantErr bool) {
+		t.Helper()
+		_, err := s.Seek(c)
+		switch {
+		case !wantErr && err != nil:
+			t.Errorf("%s: %v", what, err)
+		case wantErr && (err == nil || !strings.Contains(err.Error(), "differs from the recording")):
+			t.Errorf("%s: seek error %v, want the suffix to differ from the recording", what, err)
+		}
+	}
+	edit := func(i int, change func(*trace.Event)) (undo func()) {
+		orig := st.events[i]
+		change(&st.events[i])
+		return func() { st.events[i] = orig }
+	}
+
+	undo := edit(from, func(e *trace.Event) { e.Cycle++ })
+	seek("cycle of the keyframe's own event changed", true)
+	undo()
+	undo = edit(call, func(e *trace.Event) { e.Arg = e.Arg2 })
+	seek("callee of a call changed", true)
+	undo()
+	undo = edit(call, func(e *trace.Event) { e.Dur += 5 })
+	seek("duration of a call changed (not rendered)", false)
+	undo()
+
+	events := st.events
+	st.events = events[:len(events)-1]
+	seek("recording one event shorter", true)
+	st.events = append(events[:len(events):len(events)], events[len(events)-1])
+	seek("recording one event longer", true)
+	st.events = events
+
+	names := st.buf.Names()
+	id := st.Event(call).Arg
+	orig := names[id]
+	names[id] = orig + "_renamed"
+	seek("recorded name of a rendered id changed", true)
+	names[id] = orig
+
+	seek("untampered recording", false)
 }
 
 // TestWatchKeyGolden covers the data-watchpoint query: the KEY watch
@@ -310,6 +384,19 @@ func TestStoreRefusesStaleBuffer(t *testing.T) {
 	if err := stale.Finish(); err == nil || !strings.Contains(err.Error(), "regress") {
 		t.Fatalf("store accepted a non-monotonic recording: %v", err)
 	}
+
+	// Seek's suffix check refuses a non-monotonic replay stream too.
+	buf = trace.NewBuffer(0)
+	chk := &suffixCheck{rec: s.Store(), buf: buf}
+	buf.Attach(chk)
+	for range 2 {
+		if _, _, _, err := s.execute(buf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := chk.err(); err == nil || !strings.Contains(err.Error(), "non-monotonic") {
+		t.Fatalf("seek's suffix check accepted a non-monotonic replay: %v", err)
+	}
 }
 
 // TestKeyframerEviction pins the memory bound: a tight Max forces
@@ -345,6 +432,48 @@ func TestKeyframerEviction(t *testing.T) {
 	// The decimated set still answers seeks everywhere.
 	if _, err := s.Seek(s.Store().LastCycle()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyframerSmallBounds drives a checkpointer bound to a session's
+// machine through hundreds of gate entries at tight bounds: the held
+// frames stay within the bound (1 keeps only the boot frame), the
+// doubling stride saturates instead of wrapping to 0, and a following
+// run of plain events therefore adds no interval captures. A negative
+// bound is refused when the session is configured.
+func TestKeyframerSmallBounds(t *testing.T) {
+	s := golden(t, "")
+	for _, bound := range []int{1, 2, 4} {
+		k := &Keyframer{Max: bound}
+		k.Bind(s.m)
+		cycle := s.m.Clock.Now()
+		for i := 0; i < 300; i++ {
+			cycle += 10
+			k.HandleEvent(trace.Event{Kind: trace.EvGateEnter, Cycle: cycle})
+			if k.stride == 0 {
+				t.Fatalf("max %d: stride wrapped to 0 after %d evictions", bound, k.evicted)
+			}
+			if len(k.frames) > bound {
+				t.Fatalf("max %d: %d frames held after gate entry %d", bound, len(k.frames), i)
+			}
+		}
+		held, evicted := len(k.frames), k.evicted
+		for i := 0; i < 100; i++ {
+			cycle += 1_000_000
+			k.HandleEvent(trace.Event{Kind: trace.EvCall, Cycle: cycle})
+		}
+		if len(k.frames) != held || k.evicted != evicted {
+			t.Errorf("max %d: plain events captured: held %d -> %d, evicted %d -> %d",
+				bound, held, len(k.frames), evicted, k.evicted)
+		}
+		if bound == 1 && k.frames[0].Reason != "boot" {
+			t.Errorf("max 1 holds a %q frame, want only the boot frame", k.frames[0].Reason)
+		}
+	}
+
+	_, err := New(Config{App: apps.PinLockN(1), MaxKeyframes: -1})
+	if err == nil || !strings.Contains(err.Error(), "-1") {
+		t.Errorf("negative keyframe bound: error %v, want one naming -1", err)
 	}
 }
 

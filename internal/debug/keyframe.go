@@ -12,12 +12,15 @@ import (
 // and at the stream's causally interesting events — gate entries,
 // faults, recoveries — plus one boot frame at the arming point. Memory
 // is bounded: past Max frames the set is decimated (every second
-// non-boot frame released, the interval stride doubled), so a long run
-// degrades keyframe density, never footprint.
+// non-boot frame released, the interval stride doubled, saturating at
+// the largest cycle count), so a long run degrades keyframe density,
+// never footprint; a Max of 1 keeps only the boot frame. Frames are
+// hashed only when their digest is read or the recording seals the
+// set, so a frame evicted before then is never hashed.
 type Keyframer struct {
 	// Every is the cycle interval between periodic keyframes; Max
-	// bounds how many frames are held before decimation. Both must be
-	// set before Bind.
+	// bounds how many frames are held before decimation (0 selects
+	// DefaultMaxKeyframes). Both must be set before Bind.
 	Every uint64
 	Max   int
 
@@ -92,8 +95,8 @@ func (k *Keyframer) capture(cycle uint64, idx int, reason string) {
 	k.frames = append(k.frames, &Keyframe{
 		Cycle: cycle, Event: idx, Reason: reason, State: k.m.CaptureState(),
 	})
-	k.next = cycle + k.stride
-	for k.Max > 1 && len(k.frames) > k.Max {
+	k.next = satAdd(cycle, k.stride)
+	for len(k.frames) > max(k.Max, 1) {
 		k.decimate()
 	}
 }
@@ -112,8 +115,27 @@ func (k *Keyframer) decimate() {
 		}
 	}
 	k.frames = append([]*Keyframe(nil), kept...)
-	k.stride *= 2
-	k.next = k.frames[len(k.frames)-1].Cycle + k.stride
+	k.stride = satAdd(k.stride, k.stride)
+	k.next = satAdd(k.frames[len(k.frames)-1].Cycle, k.stride)
+}
+
+// satAdd returns a+b, saturating at the largest uint64: a stride
+// doubled past it would wrap to 0 and make every event an interval
+// capture.
+func satAdd(a, b uint64) uint64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return ^uint64(0)
+}
+
+// seal digests every held frame, which drops each frame's pages and
+// device copies — the recording calls it once its run has ended, so a
+// kept session pins no machine state.
+func (k *Keyframer) seal() {
+	for _, f := range k.frames {
+		f.State.Digest()
+	}
 }
 
 // Nearest returns the latest keyframe with Cycle <= c, falling back to

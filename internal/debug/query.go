@@ -38,12 +38,53 @@ func (v *verifier) bind(m *mach.Machine, boot bool) {
 	}
 }
 
+// suffixCheck compares a re-execution's events with the recording as
+// they are emitted, from stream index from on. A replayed event passes
+// when it equals the recorded struct and its name ids resolve to equal
+// names in the two buffers' tables — everything the text renderer
+// reads — and otherwise when the two rendered lines are equal, so the
+// check accepts exactly what comparing the rendered suffixes would.
+type suffixCheck struct {
+	rec  *Store
+	buf  *trace.Buffer // the re-execution's bus
+	from int
+	diff bool // some event at or after from differs
+}
+
+func (c *suffixCheck) HandleEvent(e trace.Event) {
+	i := int(c.buf.Emitted()) // Emit hands events to handlers before counting them
+	// An event past the recording's end fails err's length comparison.
+	if i < c.from || i >= c.rec.Len() || c.diff {
+		return
+	}
+	r, rec := c.rec.Event(i), c.rec.buf
+	if r == e && rec.Name(r.Arg) == c.buf.Name(e.Arg) && rec.Name(r.Arg2) == c.buf.Name(e.Arg2) {
+		return
+	}
+	c.diff = c.rec.Render(i) != c.buf.RenderEvent(e)
+}
+
+// err reports, once the re-execution has ended, whether its stream was
+// monotonic and repeated the recording from c.from to the recording's
+// end.
+func (c *suffixCheck) err() error {
+	if r := c.buf.CycleRegressions(); r > 0 {
+		return fmt.Errorf("replayed stream is non-monotonic (%d cycle regressions): a restored machine emitted into a stale buffer", r)
+	}
+	if c.diff || int(c.buf.Emitted()) != c.rec.Len() {
+		return fmt.Errorf("regenerated trace suffix from event %d differs from the recording", c.from)
+	}
+	return nil
+}
+
 // Seek re-executes the run from the boot checkpoint through cycle c:
 // it restores the nearest keyframe's anchor, verifies the replayed
 // machine digests identically at the keyframe's stream position, and
 // asserts the regenerated trace suffix from that position on is
 // byte-identical to the recording. The rendered answer shows the
 // keyframe used, the verification verdicts, and the events around c.
+// A cycle before the first recorded event or after the last one is
+// rejected.
 func (s *Session) Seek(c uint64) (string, error) {
 	return s.timed(func() (string, error) { return s.seek(c) })
 }
@@ -52,18 +93,19 @@ func (s *Session) seek(c uint64) (string, error) {
 	if last := s.store.LastCycle(); c > last {
 		return "", fmt.Errorf("debug: seek %d is past the end of the run (last event at cycle %d)", c, last)
 	}
+	if first := s.store.FirstCycle(); c < first {
+		return "", fmt.Errorf("debug: seek %d is before the run's first event (at cycle %d)", c, first)
+	}
 	kf := s.keys.Nearest(c)
 
 	buf := trace.NewBuffer(s.cfg.TraceCap)
-	st := NewStore(buf)
 	ver := &verifier{target: kf.Event}
+	chk := &suffixCheck{rec: s.store, buf: buf, from: kf.Event}
 	buf.Attach(ver)
+	buf.Attach(chk)
 	if _, _, _, err := s.execute(buf, func(m *mach.Machine) {
 		ver.bind(m, kf.Reason == "boot")
 	}); err != nil {
-		return "", err
-	}
-	if err := st.Finish(); err != nil {
 		return "", err
 	}
 
@@ -74,19 +116,18 @@ func (s *Session) seek(c uint64) (string, error) {
 		return "", fmt.Errorf("debug: seek %d: replayed state %s diverged from keyframe %s at event %d — the run is not deterministic",
 			c, ver.digest, kf.State.Digest(), kf.Event)
 	}
-	want := s.store.RenderRange(kf.Event, s.store.Len())
-	got := st.RenderRange(kf.Event, st.Len())
-	if want != got {
-		return "", fmt.Errorf("debug: seek %d: regenerated trace suffix from event %d differs from the recording", c, kf.Event)
+	if err := chk.err(); err != nil {
+		return "", fmt.Errorf("debug: seek %d: %w", c, err)
 	}
 
 	var b strings.Builder
 	idx := s.store.IndexAt(c)
-	fmt.Fprintf(&b, "seek %d: event %d of %d\n", c, idx, s.store.Len())
+	n := s.store.Len()
+	fmt.Fprintf(&b, "seek %d: event %d of %d\n", c, idx, n)
 	fmt.Fprintf(&b, "  keyframe: cycle=%d event=%d reason=%s state=%s sp=%#08x priv=%v\n",
 		kf.Cycle, kf.Event, kf.Reason, kf.State.Digest(), kf.State.SP, kf.State.Privileged)
 	fmt.Fprintf(&b, "  replayed: %d events, state digest at keyframe verified, suffix [%d:%d) byte-identical\n",
-		st.Len(), kf.Event, st.Len())
+		n, kf.Event, n)
 	s.renderAround(&b, idx)
 	return b.String(), nil
 }

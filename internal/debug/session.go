@@ -36,7 +36,7 @@ type Config struct {
 	Backend   string // "" = interpreter (run.BackendInterp)
 
 	KeyframeEvery uint64 // 0 = DefaultKeyframeEvery
-	MaxKeyframes  int    // 0 = DefaultMaxKeyframes
+	MaxKeyframes  int    // 0 = DefaultMaxKeyframes; 1 keeps only the boot frame
 	TraceCap      int    // recording ring capacity (0 = trace default)
 }
 
@@ -66,6 +66,10 @@ type Session struct {
 func New(cfg Config) (*Session, error) {
 	if cfg.App == nil {
 		return nil, fmt.Errorf("debug: no workload")
+	}
+	if cfg.MaxKeyframes < 0 {
+		return nil, fmt.Errorf("debug: max keyframes %d is negative (want 0 for the default of %d, or a bound of 1 or more)",
+			cfg.MaxKeyframes, DefaultMaxKeyframes)
 	}
 	s := &Session{cfg: cfg}
 	if cfg.Spec != nil {
@@ -107,7 +111,8 @@ func (s *Session) SnapshotID() string {
 }
 
 // record performs the one recorded run: indexed store + checkpointer
-// attached, machine captured for symbol resolution.
+// attached, machine captured for symbol resolution. The keyframes are
+// sealed when the run ends.
 func (s *Session) record() error {
 	buf := trace.NewBuffer(s.cfg.TraceCap)
 	s.store = NewStore(buf)
@@ -121,6 +126,7 @@ func (s *Session) record() error {
 		return err
 	}
 	s.Cycles, s.RunErr, s.Outcome = cycles, runErr, out
+	s.keys.seal()
 	return s.store.Finish()
 }
 

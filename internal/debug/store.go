@@ -19,8 +19,9 @@
 //   - Keyframes are mid-run mach.StateFrame captures (copy-on-write,
 //     no quiescence requirement); a seek proves the replay passed
 //     through the keyframe by comparing live StateDigest against the
-//     frame at the same event-stream position, then byte-compares the
-//     rendered trace suffix from the keyframe on.
+//     frame at the same event-stream position, and checks every event
+//     the re-execution emits from the keyframe on against the recording
+//     as it streams (equal to byte-comparing the rendered suffixes).
 package debug
 
 import (
@@ -144,6 +145,15 @@ func (st *Store) IndexAt(c uint64) int {
 	return lo - 1
 }
 
+// FirstCycle returns the first event's cycle stamp (0 for an empty
+// recording).
+func (st *Store) FirstCycle() uint64 {
+	if len(st.events) == 0 {
+		return 0
+	}
+	return st.events[0].Cycle
+}
+
 // LastCycle returns the final event's cycle stamp (0 for an empty
 // recording).
 func (st *Store) LastCycle() uint64 {
@@ -155,17 +165,6 @@ func (st *Store) LastCycle() uint64 {
 
 // Render formats event i in the deterministic text-line format.
 func (st *Store) Render(i int) string { return st.buf.RenderEvent(st.events[i]) }
-
-// RenderRange renders events [i, j) one per line — the byte-identity
-// unit seek compares between the recording and a re-execution.
-func (st *Store) RenderRange(i, j int) string {
-	var b []byte
-	for ; i < j; i++ {
-		b = append(b, st.Render(i)...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
 
 // Counters exposes the store's index sizes (trace.CounterSource).
 func (st *Store) Counters() []trace.Counter {

@@ -1,10 +1,8 @@
 package mach
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
+	"sync"
 
 	"opec/internal/ir"
 )
@@ -59,7 +57,8 @@ type devState struct {
 // O(page count) pointer copies and holding one costs only the pages
 // the live run subsequently dirties.
 type Snapshot struct {
-	id string
+	idOnce sync.Once
+	id     string
 
 	cycles     uint64
 	dwtEnabled bool
@@ -96,8 +95,14 @@ type Snapshot struct {
 // CPU, protection unit, certificates, devices — not the transparent
 // cache counters). Two snapshots of identical machine states hash
 // identically, which is what makes `snapshot id + spec` a complete
-// replay coordinate.
-func (s *Snapshot) ID() string { return s.id }
+// replay coordinate. The hash is computed on the first call, from the
+// snapshot's immutable capture, so it is the same whenever it is read;
+// concurrent callers (campaign and fuzz workers share checkpoints)
+// wait for the one computation.
+func (s *Snapshot) ID() string {
+	s.idOnce.Do(func() { s.id = s.hashID() })
+	return s.id
+}
 
 // Snapshot checkpoints the machine. The machine must be quiescent — at
 // call depth zero and outside any IRQ — because activation records
@@ -153,39 +158,29 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 		s.devs = append(s.devs, ds)
 	}
-	s.id = s.hashID()
 	return s, nil
 }
 
-// hashID computes the snapshot's content identity.
+// hashID computes the snapshot's content identity with the state
+// digest's function (stateImage.digest) over the snapshot's own field
+// set, which differs from StateDigest's: it adds the DWT enable and the
+// certificate table, records every device (Stateful or not), and
+// leaves out the instruction count.
 func (s *Snapshot) hashID() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cpu %v %v %v %v %v %v %v\n",
+	img := &stateImage{flash: s.flashPages, sram: s.sramPages, devs: s.devs}
+	img.header = fmt.Appendf(nil, "cpu %v %v %v %v %v %v %v\n",
 		s.cycles, s.privileged, s.sp, s.stackTop, s.stackLim, s.halted, s.dwtEnabled)
-	fmt.Fprintf(h, "mpu %v %v\n", s.mpuEnabled, s.mpuRegions)
+	img.header = fmt.Appendf(img.header, "mpu %v %v\n", s.mpuEnabled, s.mpuRegions)
 	if s.hasPMP {
-		fmt.Fprintf(h, "pmp %v %v\n", s.pmpEnabled, s.pmpEntries)
+		img.header = fmt.Appendf(img.header, "pmp %v %v\n", s.pmpEnabled, s.pmpEntries)
 	}
 	for i, c := range s.certs {
 		if len(c) != 0 {
-			fmt.Fprintf(h, "cert %d ", i)
-			h.Write(c)
+			img.header = fmt.Appendf(img.header, "cert %d ", i)
+			img.header = append(img.header, c...)
 		}
 	}
-	hashPages(h, "flash", s.flashPages)
-	hashPages(h, "sram", s.sramPages)
-	for _, d := range s.devs {
-		fmt.Fprintf(h, "dev %s %#08x ", d.name, d.base)
-		h.Write(d.data)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-func hashPages(h hash.Hash, label string, pages [][]byte) {
-	fmt.Fprintf(h, "%s %d\n", label, len(pages))
-	for _, p := range pages {
-		h.Write(p)
-	}
+	return img.digest()
 }
 
 // Restore rewinds the machine to the snapshot. Only memory pages that
