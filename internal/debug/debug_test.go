@@ -173,6 +173,61 @@ func TestSeekStreamingSuffixCheck(t *testing.T) {
 	seek("untampered recording", false)
 }
 
+// TestSuffixCheckRepeatedCopies pins that the suffix check compares
+// every copy a fast-forward repeats: a recording that differs from the
+// replay at any event from the check's start on, inside or outside the
+// repeated copies, is refused, and one that differs only before it is
+// accepted.
+func TestSuffixCheckRepeatedCopies(t *testing.T) {
+	events := []trace.Event{
+		{Cycle: 5, Kind: trace.EvCall, Arg: 1}, {Cycle: 6, Kind: trace.EvCallRet, Arg: 1},
+		{Cycle: 8, Kind: trace.EvCall, Arg: 2}, {Cycle: 9, Kind: trace.EvCallRet, Arg: 2},
+	}
+	const copies, period = 3, 4
+	tail := trace.Event{Cycle: 40, Kind: trace.EvFault}
+	replay := func(rec *Store) error {
+		buf := trace.NewBuffer(0)
+		chk := &suffixCheck{rec: rec, buf: buf, from: 1}
+		buf.Attach(chk)
+		for _, e := range events {
+			buf.Emit(e)
+		}
+		if got := buf.Repeat(2, copies, period); got != copies {
+			t.Fatalf("Repeat recorded %d copies, want %d", got, copies)
+		}
+		buf.Emit(tail)
+		return chk.err()
+	}
+	record := func() *Store {
+		buf := trace.NewBuffer(0)
+		rec := NewStore(buf)
+		for _, e := range events {
+			buf.Emit(e)
+		}
+		for j := uint64(1); j <= copies; j++ {
+			for _, e := range events[2:] {
+				e.Cycle += j * period
+				buf.Emit(e)
+			}
+		}
+		buf.Emit(tail)
+		if err := rec.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	if err := replay(record()); err != nil {
+		t.Fatalf("untampered recording: %v", err)
+	}
+	for i := range record().Len() {
+		rec := record()
+		rec.events[i].Cycle++
+		if err := replay(rec); (err != nil) != (i >= 1) {
+			t.Errorf("recording changed at event %d: suffix check error %v", i, err)
+		}
+	}
+}
+
 // TestWatchKeyGolden covers the data-watchpoint query: the KEY watch
 // must show the legitimate monitor-path writes landing and the rogue
 // store denied, each attributed to its operation.
@@ -399,6 +454,39 @@ func TestStoreRefusesStaleBuffer(t *testing.T) {
 	}
 }
 
+// TestStoreIndexes checks the store's lazily built indexes on the
+// golden session: ByKind for every kind, asked twice, equals a scan of
+// the stream, and the bucket counts equal the distinct kinds and
+// domains the stream holds.
+func TestStoreIndexes(t *testing.T) {
+	st := golden(t, "").Store()
+	kinds, doms := map[trace.Kind]bool{}, map[int32]bool{}
+	for i := 0; i < st.Len(); i++ {
+		kinds[st.Event(i).Kind] = true
+		doms[st.Domain(i)] = true
+	}
+	if st.KindBuckets() != len(kinds) || st.DomainBuckets() != len(doms) {
+		t.Errorf("buckets: %d kinds, %d domains; the stream holds %d and %d",
+			st.KindBuckets(), st.DomainBuckets(), len(kinds), len(doms))
+	}
+	if len(kinds) < 2 || len(doms) < 2 {
+		t.Fatalf("golden stream holds %d kinds and %d domains", len(kinds), len(doms))
+	}
+	for k := trace.EvNone; k <= trace.EvBranch+1; k++ {
+		var want []int
+		for i := 0; i < st.Len(); i++ {
+			if st.Event(i).Kind == k {
+				want = append(want, i)
+			}
+		}
+		for range 2 {
+			if got := st.ByKind(k); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("ByKind(%v) = %d indexes, want %d", k, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestKeyframerEviction pins the memory bound: a tight Max forces
 // decimation, which keeps the boot anchor, doubles the stride, and
 // accounts every released frame.
@@ -474,6 +562,59 @@ func TestKeyframerSmallBounds(t *testing.T) {
 	_, err := New(Config{App: apps.PinLockN(1), MaxKeyframes: -1})
 	if err == nil || !strings.Contains(err.Error(), "-1") {
 		t.Errorf("negative keyframe bound: error %v, want one naming -1", err)
+	}
+}
+
+// TestKeyframerRepeatLimit streams 40 copies of a two-event window
+// into a checkpointer through Buffer.Repeat, emitting each copy the
+// checkpointer's limit declines one by one, and requires the frames an
+// event-by-event checkpointer captures. Interval captures must land on
+// their own events, and a window holding a gate entry, fault or
+// recovery must not repeat at all.
+func TestKeyframerRepeatLimit(t *testing.T) {
+	s := golden(t, "")
+	for _, kind := range []trace.Kind{trace.EvCall, trace.EvGateEnter, trace.EvFault, trace.EvRecovery} {
+		fast, ref := &Keyframer{Every: 50}, &Keyframer{Every: 50}
+		fast.Bind(s.m)
+		ref.Bind(s.m)
+		buf := trace.NewBuffer(0)
+		buf.Attach(fast)
+		emit := func(w []trace.Event) {
+			for _, e := range w {
+				buf.Emit(e)
+				ref.HandleEvent(e)
+			}
+		}
+		const period = 7
+		w := []trace.Event{{Cycle: s.m.Clock.Now() + 1, Kind: trace.EvCall}, {Cycle: s.m.Clock.Now() + 4, Kind: kind}}
+		emit(w)
+		repeated := uint64(0)
+		for left := uint64(40); left > 0; {
+			got := buf.Repeat(2, left, period)
+			repeated += got
+			for range got {
+				for i := range w {
+					w[i].Cycle += period
+					ref.HandleEvent(w[i])
+				}
+			}
+			if left -= got; left > 0 {
+				for i := range w {
+					w[i].Cycle += period
+				}
+				emit(w)
+				left--
+			}
+		}
+		if got, want := fast.Render(), ref.Render(); got != want {
+			t.Errorf("window of call and %v: repeated checkpointer\n%swant\n%s", kind, got, want)
+		}
+		if kind == trace.EvCall && (repeated == 0 || len(ref.Frames()) < 3) {
+			t.Errorf("plain window: %d copies repeated, %d frames captured; the test exercises nothing", repeated, len(ref.Frames()))
+		}
+		if kind != trace.EvCall && repeated != 0 {
+			t.Errorf("window holding %v: %d copies repeated, want 0", kind, repeated)
+		}
 	}
 }
 

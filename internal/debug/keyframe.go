@@ -16,7 +16,9 @@ import (
 // the largest cycle count), so a long run degrades keyframe density,
 // never footprint; a Max of 1 keeps only the boot frame. Frames are
 // hashed only when their digest is read or the recording seals the
-// set, so a frame evicted before then is never hashed.
+// set, so a frame evicted before then is never hashed. It lets a
+// fast-forwarded poll loop skip only up to its next capture (see
+// RepeatLimit), so every frame is captured live.
 type Keyframer struct {
 	// Every is the cycle interval between periodic keyframes; Max
 	// bounds how many frames are held before decimation (0 selects
@@ -71,23 +73,57 @@ func (k *Keyframer) HandleEvent(e trace.Event) {
 	if k.m == nil {
 		return
 	}
-	reason := ""
-	switch e.Kind {
-	case trace.EvGateEnter:
-		reason = "gate"
-	case trace.EvFault:
-		reason = "fault"
-	case trace.EvRecovery:
-		reason = "recovery"
-	default:
-		if e.Cycle >= k.next {
-			reason = "interval"
-		}
+	reason := triggerReason(e.Kind)
+	if reason == "" && e.Cycle >= k.next {
+		reason = "interval"
 	}
 	if reason == "" {
 		return
 	}
 	k.capture(e.Cycle, idx, reason)
+}
+
+// triggerReason names the capture an event of kind kind triggers
+// whatever its cycle, or returns "".
+func triggerReason(kind trace.Kind) string {
+	switch kind {
+	case trace.EvGateEnter:
+		return "gate"
+	case trace.EvFault:
+		return "fault"
+	case trace.EvRecovery:
+		return "recovery"
+	}
+	return ""
+}
+
+// RepeatLimit admits the copies of a repeated window that capture
+// nothing (trace.Limiter): those whose every event comes before the
+// next interval capture, and none when the window holds a gate entry,
+// fault or recovery. Every capture therefore happens live, at the same
+// event and machine state as when each iteration runs.
+func (k *Keyframer) RepeatLimit(w []trace.Event, period uint64) uint64 {
+	var top uint64
+	for _, e := range w {
+		if triggerReason(e.Kind) != "" {
+			return 0
+		}
+		top = max(top, e.Cycle)
+	}
+	switch {
+	case top >= k.next:
+		return 0
+	case period == 0:
+		return ^uint64(0)
+	}
+	// Copy j ends at top + j·period, which must stay below next.
+	return (k.next - 1 - top) / period
+}
+
+// HandleRepeat advances the stream position over copies RepeatLimit
+// admitted, which capture nothing (trace.Repeater).
+func (k *Keyframer) HandleRepeat(w []trace.Event, n, _ uint64) {
+	k.n += int(n) * len(w)
 }
 
 // capture appends a frame and enforces the memory bound.

@@ -14,7 +14,8 @@ import (
 
 // verifier proves a re-execution passes through a keyframe: it tracks
 // the stream position and, at the keyframe's event index, digests the
-// live machine for comparison against the captured frame.
+// live machine for comparison against the captured frame. A
+// fast-forward skips only up to that index (see RepeatLimit).
 type verifier struct {
 	m      *mach.Machine
 	target int
@@ -27,6 +28,21 @@ func (v *verifier) HandleEvent(e trace.Event) {
 		v.digest = v.m.StateDigest()
 	}
 	v.n++
+}
+
+// RepeatLimit admits the copies of a repeated window that end before
+// the target index (trace.Limiter), so the digest is still read from
+// the live machine at the target event; once it is read, any number.
+func (v *verifier) RepeatLimit(w []trace.Event, _ uint64) uint64 {
+	if v.digest != "" || v.n > v.target || len(w) == 0 {
+		return ^uint64(0)
+	}
+	return uint64(v.target-v.n) / uint64(len(w))
+}
+
+// HandleRepeat advances the stream position (trace.Repeater).
+func (v *verifier) HandleRepeat(w []trace.Event, k, _ uint64) {
+	v.n += int(k) * len(w)
 }
 
 // bind anchors the verifier at the arming point — the position boot
@@ -52,7 +68,26 @@ type suffixCheck struct {
 }
 
 func (c *suffixCheck) HandleEvent(e trace.Event) {
-	i := int(c.buf.Emitted()) // Emit hands events to handlers before counting them
+	c.check(int(c.buf.Emitted()), e) // Emit hands events to handlers before counting them
+}
+
+// HandleRepeat checks each shifted copy of a repeated window against
+// the recording (trace.Repeater). Repeat, like Emit, hands the copies
+// over before counting them.
+func (c *suffixCheck) HandleRepeat(w []trace.Event, k, period uint64) {
+	i := int(c.buf.Emitted())
+	for j := uint64(1); j <= k; j++ {
+		for _, e := range w {
+			e.Cycle += j * period
+			c.check(i, e)
+			i++
+		}
+	}
+}
+
+// check compares replayed event e, at stream index i, with the
+// recording.
+func (c *suffixCheck) check(i int, e trace.Event) {
 	// An event past the recording's end fails err's length comparison.
 	if i < c.from || i >= c.rec.Len() || c.diff {
 		return
@@ -173,6 +208,16 @@ type collector struct {
 func (c *collector) HandleEvent(e trace.Event) {
 	if e.Kind == trace.EvOpActivate {
 		c.curOp = c.buf.Name(e.Arg)
+	}
+}
+
+// HandleRepeat tracks the owning operation across a repeated window
+// (trace.Repeater): every copy activates what the window does, so the
+// window once leaves curOp as all k copies would. A skipped window
+// holds no store, so the watches miss nothing in it.
+func (c *collector) HandleRepeat(w []trace.Event, _, _ uint64) {
+	for _, e := range w {
+		c.HandleEvent(e)
 	}
 }
 

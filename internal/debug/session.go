@@ -38,12 +38,19 @@ type Config struct {
 	KeyframeEvery uint64 // 0 = DefaultKeyframeEvery
 	MaxKeyframes  int    // 0 = DefaultMaxKeyframes; 1 keeps only the boot frame
 	TraceCap      int    // recording ring capacity (0 = trace default)
+
+	// hook is a test seam: every execution calls it with its trace bus
+	// before the run, and calls the observer it returns at the arming
+	// point, after the session's own.
+	hook func(*trace.Buffer) func(*mach.Machine)
 }
 
 // Session is one recorded, queryable run. New boots the workload under
 // OPEC, records the run once with the checkpointer and indexed store
 // attached, and keeps the boot checkpoint alive so every query can
-// re-execute the byte-identical run with its own observers.
+// re-execute the byte-identical run with its own observers. A Session
+// is not safe for concurrent queries: each query re-executes on the
+// session's one checkpoint and caches indexes in its store.
 type Session struct {
 	cfg Config
 
@@ -136,6 +143,15 @@ func (s *Session) record() error {
 // the whole debugger rests on.
 func (s *Session) execute(buf *trace.Buffer, observe func(*mach.Machine)) (cycles uint64, runErr string, out *inject.Outcome, err error) {
 	s.reexecs++
+	if s.cfg.hook != nil {
+		own, seen := observe, s.cfg.hook(buf)
+		observe = func(m *mach.Machine) {
+			if own != nil {
+				own(m)
+			}
+			seen(m)
+		}
+	}
 	if s.forge != nil {
 		o, ferr := s.forge.ObservedRun(*s.cfg.Spec, s.cfg.Policy, s.cfg.MaxCycles, buf, false, observe)
 		if ferr != nil {

@@ -22,6 +22,12 @@
 //     frame at the same event-stream position, and checks every event
 //     the re-execution emits from the keyframe on against the recording
 //     as it streams (equal to byte-comparing the rendered suffixes).
+//
+// Every observer a session attaches is a trace.Repeater, so the
+// recording and every query re-execution fast-forward device-poll
+// loops as campaign trials do; the checkpointer and the seek verifier
+// limit a skip to end before the event at which they read machine
+// state (trace.Limiter).
 package debug
 
 import (
@@ -32,9 +38,9 @@ import (
 
 // Store is the indexed trace store: the complete event stream of one
 // recorded run (ingested pre-drop via the streaming handler interface,
-// so ring wrap loses nothing), indexed per kind, per domain and per
-// cycle, with the ring's exact drop count preserved as recording
-// metadata.
+// so ring wrap loses nothing), with each event's owning domain, a
+// per-cycle binary search, per-kind indexes built on first use, and
+// the ring's exact drop count preserved as recording metadata.
 type Store struct {
 	buf *trace.Buffer // name table + renderer for the recorded stream
 
@@ -42,14 +48,15 @@ type Store struct {
 	domains []int32 // owning domain per event (active op at emission; -1 pre-activation)
 	opNames map[int32]string
 
-	byKind   map[trace.Kind][]int
-	byDomain map[int32][]int
+	// byKind caches ByKind's answers; kinds and doms are the distinct
+	// kinds and domains in the stream, counted by Finish.
+	byKind      map[trace.Kind][]int
+	kinds, doms int
 
 	curOp       int32
 	lastCycle   uint64
 	regressions uint64
 	dropped     uint64
-	finished    bool
 }
 
 // NewStore attaches a fresh store to buf's live stream. Everything
@@ -77,8 +84,20 @@ func (st *Store) HandleEvent(e trace.Event) {
 	st.domains = append(st.domains, st.curOp)
 }
 
-// Finish seals the recording: builds the kind/domain indexes and
-// asserts stream health. A non-monotonic stream is refused — the
+// HandleRepeat ingests k shifted copies of a repeated window one event
+// at a time (trace.Repeater), so a fast-forwarded poll loop is stored
+// exactly as its iterations would have been.
+func (st *Store) HandleRepeat(w []trace.Event, k, period uint64) {
+	for j := uint64(1); j <= k; j++ {
+		for _, e := range w {
+			e.Cycle += j * period
+			st.HandleEvent(e)
+		}
+	}
+}
+
+// Finish seals the recording: counts the distinct kinds and domains
+// and asserts stream health. A non-monotonic stream is refused — the
 // per-cycle binary search would misresolve on it, and monotonicity is
 // an invariant of any correctly attached run (see
 // trace.Buffer.CycleRegressions).
@@ -86,14 +105,21 @@ func (st *Store) Finish() error {
 	if st.regressions > 0 {
 		return fmt.Errorf("debug: recorded stream is non-monotonic (%d cycle regressions): a restored machine emitted into a stale buffer", st.regressions)
 	}
-	st.byKind = map[trace.Kind][]int{}
-	st.byDomain = map[int32][]int{}
+	var kinds [256]bool
+	doms := map[int32]bool{}
 	for i, e := range st.events {
-		st.byKind[e.Kind] = append(st.byKind[e.Kind], i)
-		st.byDomain[st.domains[i]] = append(st.byDomain[st.domains[i]], i)
+		kinds[e.Kind] = true
+		if i == 0 || st.domains[i] != st.domains[i-1] {
+			doms[st.domains[i]] = true
+		}
+	}
+	st.kinds, st.doms = 0, len(doms)
+	for _, seen := range kinds {
+		if seen {
+			st.kinds++
+		}
 	}
 	st.dropped = st.buf.Dropped()
-	st.finished = true
 	return nil
 }
 
@@ -120,14 +146,31 @@ func (st *Store) DomainName(id int32) string {
 	return "?"
 }
 
-// ByKind returns the indexes of every event of kind k, in stream order.
-func (st *Store) ByKind(k trace.Kind) []int { return st.byKind[k] }
+// ByKind returns the indexes of every event of kind k, in stream
+// order. The first call for a kind scans the finished stream and
+// caches the answer.
+func (st *Store) ByKind(k trace.Kind) []int {
+	if idx, ok := st.byKind[k]; ok {
+		return idx
+	}
+	var idx []int
+	for i, e := range st.events {
+		if e.Kind == k {
+			idx = append(idx, i)
+		}
+	}
+	if st.byKind == nil {
+		st.byKind = map[trace.Kind][]int{}
+	}
+	st.byKind[k] = idx
+	return idx
+}
 
 // KindBuckets returns how many kinds have at least one event.
-func (st *Store) KindBuckets() int { return len(st.byKind) }
+func (st *Store) KindBuckets() int { return st.kinds }
 
 // DomainBuckets returns how many domains own at least one event.
-func (st *Store) DomainBuckets() int { return len(st.byDomain) }
+func (st *Store) DomainBuckets() int { return st.doms }
 
 // IndexAt returns the index of the last event with Cycle <= c, or -1
 // when the stream starts after c. Binary search over the monotonic
@@ -171,7 +214,7 @@ func (st *Store) Counters() []trace.Counter {
 	return []trace.Counter{
 		{Name: "debug.store.events", Value: uint64(len(st.events))},
 		{Name: "debug.store.dropped", Value: st.dropped},
-		{Name: "debug.store.kind_buckets", Value: uint64(len(st.byKind))},
-		{Name: "debug.store.domain_buckets", Value: uint64(len(st.byDomain))},
+		{Name: "debug.store.kind_buckets", Value: uint64(st.kinds)},
+		{Name: "debug.store.domain_buckets", Value: uint64(st.doms)},
 	}
 }

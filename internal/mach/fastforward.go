@@ -47,18 +47,24 @@ package mach
 // The events an iteration emits are one more per-iteration quantity:
 // the trace's emitted count is captured with the counters, and
 // trace.Buffer.Repeat appends k copies of the last iteration's events,
-// each shifted by one more period. An armed entry-count trigger is
-// screened like a store: each entry of its function counts it down, so
-// a window that enters the function is watched again, while a loop that
-// never enters it skips with the trigger armed.
+// each shifted by one more period. A handler that must see some event
+// live (the debugger's keyframe checkpointer and seek verifier, which
+// read machine state at it) is a trace.Limiter: Repeat then records
+// fewer copies, ending before that event, and the skip takes exactly
+// as many iterations as Repeat recorded, so the event is emitted by an
+// iteration that runs. An armed entry-count trigger is screened like a
+// store: each entry of its function counts it down, so a window that
+// enters the function is watched again, while a loop that never enters
+// it skips with the trigger armed. Store and raw-write watchpoints need
+// no screen of their own: a skipped window holds no store, checked or
+// raw, so a watch has nothing to see in it.
 //
 // The primitive declines whenever something observes individual
-// iterations: a store or raw-write watchpoint, an instruction-count
-// (At) injection trigger, an OnFuncEnter hook, an IRQ binding, or a
-// trace handler that is not a trace.Repeater. Runs traced through such
-// a handler — the profiler, the debugger's recorders — therefore
-// execute every iteration and serve as the reference that skipping
-// runs are differentially checked against.
+// iterations: an instruction-count (At) injection trigger, an
+// OnFuncEnter hook, an IRQ binding, or a trace handler that is not a
+// trace.Repeater. Runs traced through such a handler — the profiler,
+// the task folder — therefore execute every iteration and serve as the
+// reference that skipping runs are differentially checked against.
 
 // Never is the horizon of a register whose value changes only through
 // a store or a side-effecting access, never through the passage of
@@ -211,8 +217,7 @@ func (m *Machine) loopBack(fr *frame, n int) int {
 // it a fixed point, and the third supplies the deltas that every later
 // iteration repeats.
 func (m *Machine) ffStep(fr *frame, n int) int {
-	if m.watch != nil || m.Handlers.OnFuncEnter != nil || len(m.irqs) != 0 ||
-		m.Bus.rawWatch != nil || m.inj != nil && m.inj.Func == nil {
+	if m.Handlers.OnFuncEnter != nil || len(m.irqs) != 0 || m.inj != nil && m.inj.Func == nil {
 		return 0
 	}
 	w := &fr.ff
@@ -277,8 +282,8 @@ func (m *Machine) ffSame(fr *frame, w *loopWitness) bool {
 }
 
 // ffSkip advances the machine by as many whole iterations as the
-// horizon and the cycle budget allow, using the deltas of the
-// iteration that just ended.
+// horizon, the cycle budget and the trace's limiters allow, using the
+// deltas of the iteration that just ended.
 func (m *Machine) ffSkip(w *loopWitness) {
 	now := m.Clock.Now()
 	h := m.ff.log.minSince(w.logSeq)
@@ -297,8 +302,10 @@ func (m *Machine) ffSkip(w *loopWitness) {
 		return
 	}
 	// The trace's emitted count is one more per-iteration counter: the
-	// skipped iterations emit what the last one did, shifted by d.
-	if !m.Trace.Repeat(m.Trace.Emitted()-w.events, k, d) {
+	// skipped iterations emit what the last one did, shifted by d. A
+	// limiting handler may admit fewer copies; the skip takes as many
+	// iterations as the trace recorded.
+	if k = m.Trace.Repeat(m.Trace.Emitted()-w.events, k, d); k == 0 {
 		return
 	}
 	m.ff.episodes++

@@ -52,6 +52,7 @@ const (
 	pollStore                   // the self-loop also stores to a global
 	pollDWT                     // the self-loop also reads DWT_CYCCNT
 	pollNested                  // an outer self-loop calls a function that polls
+	pollFenced                  // pollInline with stores and a call to status around the loop
 )
 
 // pollModule builds main, which spins until the status register reads
@@ -73,11 +74,14 @@ func pollModule(shape pollShape) *ir.Module {
 
 	fb := ir.NewFunc(m, "main", "s.c", ir.I32)
 	loop, done := fb.NewBlock("poll"), fb.NewBlock("ready")
+	if shape == pollFenced {
+		fb.Store(ir.I32, g, ir.CI(3))
+	}
 	fb.Br(loop)
 	fb.SetBlock(loop)
 	var v ir.Value
 	switch shape {
-	case pollInline:
+	case pollInline, pollFenced:
 		v = fb.Load(ir.I32, ir.CI(pollReg))
 	case pollCall:
 		v = fb.Call(get.F)
@@ -92,6 +96,10 @@ func pollModule(shape pollShape) *ir.Module {
 	}
 	fb.CondBr(fb.And(v, ir.CI(1)), done, loop)
 	fb.SetBlock(done)
+	if shape == pollFenced {
+		fb.Call(get.F)
+		fb.Store(ir.I32, g, v)
+	}
 	fb.Ret(v)
 	return m
 }
@@ -336,12 +344,6 @@ func TestFastForwardDeclines(t *testing.T) {
 		{"armed-injection", pollInline, true, func(m *Machine, _ Device) {
 			m.Arm(&Injection{At: 1 << 40, Fire: func(*Machine) error { return nil }})
 		}},
-		{"store-watch", pollInline, true, func(m *Machine, _ Device) {
-			m.SetStoreWatch(func(WatchedStore) {})
-		}},
-		{"raw-watch", pollInline, true, func(m *Machine, _ Device) {
-			m.Bus.SetRawWatch(func(uint32, int, uint32) {})
-		}},
 		{"func-enter-hook", pollInline, true, func(m *Machine, _ Device) {
 			m.Handlers.OnFuncEnter = func(*ir.Function) {}
 		}},
@@ -352,6 +354,70 @@ func TestFastForwardDeclines(t *testing.T) {
 	for _, c := range cases {
 		if n := samePoll(t, c.shape, c.quiet, 30_000, 1<<40, c.setup); n != 0 {
 			t.Errorf("%s: fast-forwarded %d times, want iteration-by-iteration execution", c.name, n)
+		}
+	}
+}
+
+// TestFastForwardUnderWatch runs the inline poll loop, with a store
+// before it, a store after it and an entry trigger that issues a raw
+// store after it, under a store watch, a raw-write watch and both. A
+// skipped window holds no store, so each run must skip and hand every
+// watch exactly the records, cycle and instruction stamps included,
+// that the reference run's watch receives. A loop that stores is still
+// watched iteration by iteration.
+func TestFastForwardUnderWatch(t *testing.T) {
+	watches := []struct {
+		name       string
+		store, raw bool
+	}{
+		{"store-watch", true, false},
+		{"raw-watch", false, true},
+		{"both", true, true},
+	}
+	for _, w := range watches {
+		var runs [][]string // per run: samePoll's untraced, ring-only and reference runs
+		setup := func(m *Machine, _ Device) {
+			i := len(runs)
+			runs = append(runs, nil)
+			if w.store {
+				m.SetStoreWatch(func(ws WatchedStore) {
+					runs[i] = append(runs[i], fmt.Sprintf("store %+v", ws))
+				})
+			}
+			if w.raw {
+				m.Bus.SetRawWatch(func(addr uint32, size int, val uint32) {
+					runs[i] = append(runs[i], fmt.Sprintf("raw %#x/%d=%#x cycle=%d instr=%d",
+						addr, size, val, m.Clock.Now(), m.InstrCount))
+				})
+			}
+			g, _ := m.GlobalAddr(m.Mod.Global("g"), true)
+			m.Arm(&Injection{Func: m.Mod.MustFunc("status"), N: 1, Fire: func(m *Machine) error {
+				m.Bus.RawStore(g, 4, 0x55)
+				return nil
+			}})
+		}
+		if n := samePoll(t, pollFenced, true, 50_000, 1<<40, setup); n == 0 {
+			t.Errorf("%s: watched poll loop never fast-forwarded", w.name)
+		}
+		want := 0
+		if w.store {
+			want += 2
+		}
+		if w.raw {
+			want++
+		}
+		if len(runs) != 3 || len(runs[2]) != want {
+			t.Fatalf("%s: reference watch saw %v, want %d records", w.name, runs, want)
+		}
+		for i, name := range []string{"untraced", "ring-only"} {
+			if strings.Join(runs[i], "\n") != strings.Join(runs[2], "\n") {
+				t.Errorf("%s: %s run's watch saw\n  %v\nreference\n  %v", w.name, name, runs[i], runs[2])
+			}
+		}
+
+		runs = nil
+		if n := samePoll(t, pollStore, true, 30_000, 1<<40, setup); n != 0 {
+			t.Errorf("%s: storing loop fast-forwarded %d times", w.name, n)
 		}
 	}
 }

@@ -108,8 +108,8 @@ func TestRepeatMatchesEmit(t *testing.T) {
 								ref.Emit(e)
 							}
 						}
-						if !fast.Repeat(uint64(n), k, period) {
-							t.Fatalf("%s: Repeat refused", name)
+						if got := fast.Repeat(uint64(n), k, period); got != k {
+							t.Fatalf("%s: Repeat recorded %d copies, want %d", name, got, k)
 						}
 						if got, want := stateOf(fast, fs), stateOf(ref, rs); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s:\nRepeat %+v\nEmit   %+v", name, got, want)
@@ -156,24 +156,96 @@ func TestRepeatRefuses(t *testing.T) {
 			t.Errorf("%s: Repeatable() = %v", c.name, b.Repeatable())
 		}
 		before := stateOf(b, s)
-		if b.Repeat(c.n, 3, 5) {
-			t.Errorf("%s: Repeat accepted", c.name)
+		if got := b.Repeat(c.n, 3, 5); got != 0 {
+			t.Errorf("%s: Repeat recorded %d copies, want 0", c.name, got)
 		}
 		if after := stateOf(b, s); !reflect.DeepEqual(after, before) {
 			t.Errorf("%s: refused Repeat changed the buffer:\n%+v\n%+v", c.name, after, before)
 		}
 	}
 	var nilBuf *Buffer
-	if !nilBuf.Repeatable() || !nilBuf.Repeat(3, 3, 3) {
+	if !nilBuf.Repeatable() || nilBuf.Repeat(3, 3, 3) != 3 {
 		t.Error("nil buffer refused Repeat")
 	}
 }
 
+// capped is a tally that admits at most limit copies of any window,
+// and remembers the window and period it was last asked about.
+type capped struct {
+	tally
+	limit  uint64
+	asked  []Event
+	period uint64
+}
+
+func (c *capped) RepeatLimit(w []Event, period uint64) uint64 {
+	c.asked = append(c.asked[:0], w...)
+	c.period = period
+	return c.limit
+}
+
+// TestRepeatLimiters checks the Limiter contract: with limiters
+// attached, Repeat records the minimum of k and their limits, and
+// leaves the ring, the counts and every handler as that many rounds of
+// n Emit calls would. A limit of 0 changes nothing.
+func TestRepeatLimiters(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, limits := range [][]uint64{{0}, {1}, {2, 5}, {5, 2}, {4, 0}, {100}} {
+		for _, n := range []int{1, 3} {
+			for _, k := range []uint64{0, 1, 3, 7} {
+				name := fmt.Sprintf("limits=%v n=%d k=%d", limits, n, k)
+				pre := randomStream(rng, 11, 5)
+				const period = 4
+				fast, ref := NewBuffer(8), NewBuffer(8)
+				fs, rs := &tally{}, &tally{}
+				fast.Attach(fs)
+				ref.Attach(rs)
+				var lims []*capped
+				for _, l := range limits {
+					c := &capped{limit: l}
+					lims = append(lims, c)
+					fast.Attach(c)
+				}
+				emitAll(fast, pre)
+				emitAll(ref, pre)
+
+				want := k
+				for _, l := range limits {
+					want = min(want, l)
+				}
+				window := ref.Events()[8-n:]
+				for j := uint64(1); j <= want; j++ {
+					for _, e := range window {
+						e.Cycle += j * period
+						ref.Emit(e)
+					}
+				}
+				if got := fast.Repeat(uint64(n), k, period); got != want {
+					t.Fatalf("%s: Repeat recorded %d copies, want %d", name, got, want)
+				}
+				if got, want := stateOf(fast, fs), stateOf(ref, rs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s:\nRepeat %+v\nEmit   %+v", name, got, want)
+				}
+				for i, c := range lims {
+					if c.tally != *rs {
+						t.Fatalf("%s: limiter %d holds %+v, want %+v", name, i, c.tally, *rs)
+					}
+					if k > 0 && (!reflect.DeepEqual(c.asked, window) || c.period != period) {
+						t.Fatalf("%s: limiter %d asked about %v period %d, want %v period %d",
+							name, i, c.asked, c.period, window, period)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRepeatZeroAllocs pins that Repeat allocates nothing once its
-// window scratch has grown.
+// window scratch has grown, with a limiter attached too.
 func TestRepeatZeroAllocs(t *testing.T) {
 	b := NewBuffer(64)
 	b.Attach(&tally{})
+	b.Attach(&capped{limit: 6})
 	for i := 0; i < 64; i++ {
 		b.Emit(Event{Cycle: uint64(i), Kind: EvBranch})
 	}

@@ -21,9 +21,12 @@
 // traced poll loop: it appends k shifted copies of the loop
 // iteration's events in closed form, exactly as emitting them would.
 // It works only when every handler implements Repeater (the fuzzer's
-// coverage sink does); handlers that need each event one by one (the
-// profiler, the debugger's recorders) make it refuse, so those runs
-// still execute every iteration.
+// coverage sink and the debugger's recorders do); handlers that need
+// each event one by one (the profiler, the task folder) make it
+// refuse, so those runs still execute every iteration. A Repeater that
+// must see some event live (a debugger checkpoint capturing machine
+// state) also implements Limiter, and Repeat records only the copies
+// before that event.
 package trace
 
 import (
@@ -166,10 +169,23 @@ type Handler interface {
 // as k·len(window) HandleEvent calls would, handing it copy j (1..k) of
 // window with every cycle stamp shifted by j·period. A handler that
 // needs every event delivered one by one does not implement it, and
-// then Buffer.Repeat refuses.
+// then Buffer.Repeat refuses; one that needs only some events live
+// implements it together with Limiter.
 type Repeater interface {
 	Handler
 	HandleRepeat(window []Event, k, period uint64)
+}
+
+// Limiter is implemented by a Repeater that can absorb only some
+// copies of a window in closed form: one that must see a particular
+// event live, while the machine that emits it stands at that event.
+// RepeatLimit(window, period) returns how many shifted copies of
+// window (copy j shifted by j·period, as for HandleRepeat) come before
+// the first copy holding such an event; Buffer.Repeat records no more
+// copies than any attached Limiter admits, so HandleRepeat is never
+// handed more than that. RepeatLimit must not change the handler.
+type Limiter interface {
+	RepeatLimit(window []Event, period uint64) uint64
 }
 
 // Buffer is the event bus: a fixed-capacity ring with drop accounting,
@@ -196,8 +212,10 @@ type Buffer struct {
 	lastCycle        uint64
 	cycleRegressions uint64
 	// needsEvents is set once a handler that is not a Repeater is
-	// attached; window is Repeat's scratch copy of the repeated events.
+	// attached, and limiters lists the attached Limiters; window is
+	// Repeat's scratch copy of the repeated events.
 	needsEvents bool
+	limiters    []Limiter
 	window      []Event
 }
 
@@ -222,6 +240,9 @@ func NewBuffer(capacity int) *Buffer {
 func (b *Buffer) Attach(h Handler) {
 	if _, ok := h.(Repeater); !ok {
 		b.needsEvents = true
+	}
+	if l, ok := h.(Limiter); ok {
+		b.limiters = append(b.limiters, l)
 	}
 	b.sinks = append(b.sinks, h)
 }
@@ -270,23 +291,25 @@ func (b *Buffer) Emit(e Event) {
 	b.head++
 }
 
-// Repeat records k more copies of the last n events, copy j (1..k)
-// with every cycle stamp shifted by j·period. It leaves the ring, the
-// emitted and dropped counts, the cycle regression count and every
-// handler exactly as the k·n matching Emit calls would, without
-// making them. It returns false and changes nothing unless every
-// attached handler is a Repeater (a ring-only buffer qualifies) and the
-// ring still holds the n events. A nil buffer records nothing, as Emit
-// does, and reports true.
-func (b *Buffer) Repeat(n, k, period uint64) bool {
+// Repeat records up to k more copies of the last n events, copy j
+// (1..k) with every cycle stamp shifted by j·period, and returns how
+// many it recorded: k, or less when an attached Limiter admits fewer.
+// It leaves the ring, the emitted and dropped counts, the cycle
+// regression count and every handler exactly as the matching Emit
+// calls, n per copy, would, without making them. It returns 0 and
+// changes nothing unless every attached handler is a Repeater (a
+// ring-only buffer qualifies), the ring still holds the n events and
+// every Limiter admits at least one copy. A nil buffer records
+// nothing, as Emit does, and returns k.
+func (b *Buffer) Repeat(n, k, period uint64) uint64 {
 	if b == nil {
-		return true
+		return k
 	}
 	if b.needsEvents || n > uint64(b.Len()) {
-		return false
+		return 0
 	}
 	if n == 0 || k == 0 {
-		return true
+		return k
 	}
 	size := uint64(len(b.ring))
 	w := b.window[:0]
@@ -294,6 +317,12 @@ func (b *Buffer) Repeat(n, k, period uint64) bool {
 		w = append(w, b.ring[i%size])
 	}
 	b.window = w
+	for _, l := range b.limiters {
+		k = min(k, l.RepeatLimit(w, period))
+	}
+	if k == 0 {
+		return 0
+	}
 	regressions, high := repeatCycles(w, k, period, b.lastCycle)
 	b.cycleRegressions += regressions
 	b.lastCycle = high
@@ -312,7 +341,7 @@ func (b *Buffer) Repeat(n, k, period uint64) bool {
 		b.ring[(b.head+t)%size] = e
 	}
 	b.head += total
-	return true
+	return k
 }
 
 // repeatCycles returns the cycle regressions that k shifted copies of
