@@ -46,7 +46,7 @@ func main() {
 			}
 		}
 	})
-	_, err = run.OPECPrecompiled(inst, b)
+	_, err = run.OPECWith(inst, b, run.Options{})
 	if err == nil {
 		log.Fatal("corrupted critical global was not caught")
 	}

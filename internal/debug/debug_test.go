@@ -427,10 +427,10 @@ func TestStoreRefusesStaleBuffer(t *testing.T) {
 
 	buf := trace.NewBuffer(0)
 	stale := NewStore(buf)
-	if _, _, _, err := s.execute(buf, nil); err != nil {
+	if _, err := s.execute(buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.execute(buf, nil); err != nil {
+	if _, err := s.execute(buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if buf.CycleRegressions() == 0 {
@@ -445,7 +445,7 @@ func TestStoreRefusesStaleBuffer(t *testing.T) {
 	chk := &suffixCheck{rec: s.Store(), buf: buf}
 	buf.Attach(chk)
 	for range 2 {
-		if _, _, _, err := s.execute(buf, nil); err != nil {
+		if _, err := s.execute(buf, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -138,7 +138,7 @@ func (s *Session) seek(c uint64) (string, error) {
 	chk := &suffixCheck{rec: s.store, buf: buf, from: kf.Event}
 	buf.Attach(ver)
 	buf.Attach(chk)
-	if _, _, _, err := s.execute(buf, func(m *mach.Machine) {
+	if _, err := s.execute(buf, func(m *mach.Machine) {
 		ver.bind(m, kf.Reason == "boot")
 	}); err != nil {
 		return "", err
@@ -250,7 +250,7 @@ func (s *Session) collect(addr uint32, n int) ([]watchRec, error) {
 	buf := trace.NewBuffer(s.cfg.TraceCap)
 	col := &collector{buf: buf, lo: addr, n: n, curOp: "?"}
 	buf.Attach(col)
-	if _, _, _, err := s.execute(buf, col.bind); err != nil {
+	if _, err := s.execute(buf, col.bind); err != nil {
 		return nil, err
 	}
 	return col.recs, nil
@@ -539,7 +539,7 @@ func (s *Session) VerifyKeyframes() error {
 		vers[i] = &verifier{target: kf.Event}
 		buf.Attach(vers[i])
 	}
-	if _, _, _, err := s.execute(buf, func(m *mach.Machine) {
+	if _, err := s.execute(buf, func(m *mach.Machine) {
 		for i, kf := range frames {
 			vers[i].bind(m, kf.Reason == "boot")
 		}

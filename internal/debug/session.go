@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"opec/internal/apps"
-	"opec/internal/core"
 	"opec/internal/inject"
 	"opec/internal/ir"
 	"opec/internal/mach"
 	"opec/internal/monitor"
-	"opec/internal/run"
 	"opec/internal/trace"
 )
 
@@ -46,24 +44,24 @@ type Config struct {
 }
 
 // Session is one recorded, queryable run. New boots the workload under
-// OPEC, records the run once with the checkpointer and indexed store
-// attached, and keeps the boot checkpoint alive so every query can
-// re-execute the byte-identical run with its own observers. A Session
-// is not safe for concurrent queries: each query re-executes on the
-// session's one checkpoint and caches indexes in its store.
+// OPEC into a forge, records the run once with the checkpointer and
+// indexed store attached, and keeps the forge's boot checkpoint alive
+// so every query can re-execute the byte-identical run with its own
+// observers. A Session is not safe for concurrent queries: each query
+// re-executes on the session's one checkpoint and caches indexes in
+// its store.
 type Session struct {
 	cfg Config
 
-	forge *inject.Forge    // spec runs (nil for clean runs)
-	ctx   *run.OPECContext // clean runs (nil for spec runs)
-	m     *mach.Machine    // the booted machine (symbol resolution)
+	forge *inject.Forge
+	m     *mach.Machine // the booted machine (symbol resolution)
 
 	store *Store
 	keys  *Keyframer
 
 	// Recorded outcome.
 	Outcome *inject.Outcome // spec runs
-	RunErr  string          // clean runs: the run error text, if any
+	RunErr  string          // clean runs: the run error or failed check, if any
 	Cycles  uint64
 
 	queries, queryNS, reexecs uint64
@@ -78,26 +76,12 @@ func New(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("debug: max keyframes %d is negative (want 0 for the default of %d, or a bound of 1 or more)",
 			cfg.MaxKeyframes, DefaultMaxKeyframes)
 	}
-	s := &Session{cfg: cfg}
-	if cfg.Spec != nil {
-		forge, err := inject.NewForge(cfg.App)
-		if err != nil {
-			return nil, err
-		}
-		forge.Backend = cfg.Backend
-		s.forge = forge
-	} else {
-		inst := cfg.App.New()
-		b, err := core.Compile(inst.Mod, inst.Board, inst.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("debug: compile %s: %w", cfg.App.Name, err)
-		}
-		ctx, err := run.BootOPEC(inst, b)
-		if err != nil {
-			return nil, fmt.Errorf("debug: boot %s: %w", cfg.App.Name, err)
-		}
-		s.ctx = ctx
+	forge, err := inject.NewForge(cfg.App)
+	if err != nil {
+		return nil, err
 	}
+	forge.Backend = cfg.Backend
+	s := &Session{cfg: cfg, forge: forge}
 	if cfg.WantSnapID != "" && s.SnapshotID() != cfg.WantSnapID {
 		return nil, fmt.Errorf("debug: snapshot id mismatch: rebuilt checkpoint is %s, coordinate names %s (different workload scale or build?)",
 			s.SnapshotID(), cfg.WantSnapID)
@@ -110,12 +94,7 @@ func New(cfg Config) (*Session, error) {
 
 // SnapshotID identifies the boot checkpoint every execution forks
 // from; with the spec it forms the replay coordinate.
-func (s *Session) SnapshotID() string {
-	if s.forge != nil {
-		return s.forge.SnapshotID()
-	}
-	return s.ctx.SnapshotID()
-}
+func (s *Session) SnapshotID() string { return s.forge.SnapshotID() }
 
 // record performs the one recorded run: indexed store + checkpointer
 // attached, machine captured for symbol resolution. The keyframes are
@@ -125,14 +104,19 @@ func (s *Session) record() error {
 	s.store = NewStore(buf)
 	s.keys = &Keyframer{Every: s.cfg.KeyframeEvery, Max: s.cfg.MaxKeyframes}
 	buf.Attach(s.keys)
-	cycles, runErr, out, err := s.execute(buf, func(m *mach.Machine) {
+	out, err := s.execute(buf, func(m *mach.Machine) {
 		s.m = m
 		s.keys.Bind(m)
 	})
 	if err != nil {
 		return err
 	}
-	s.Cycles, s.RunErr, s.Outcome = cycles, runErr, out
+	s.Cycles = out.Cycles
+	if s.cfg.Spec != nil {
+		s.Outcome = &out
+	} else {
+		s.RunErr = out.Err
+	}
 	s.keys.seal()
 	return s.store.Finish()
 }
@@ -141,7 +125,7 @@ func (s *Session) record() error {
 // with buf attached and observe bound at the arming point. Every call
 // replays the byte-identical event stream — the fork-engine invariant
 // the whole debugger rests on.
-func (s *Session) execute(buf *trace.Buffer, observe func(*mach.Machine)) (cycles uint64, runErr string, out *inject.Outcome, err error) {
+func (s *Session) execute(buf *trace.Buffer, observe func(*mach.Machine)) (inject.Outcome, error) {
 	s.reexecs++
 	if s.cfg.hook != nil {
 		own, seen := observe, s.cfg.hook(buf)
@@ -152,27 +136,7 @@ func (s *Session) execute(buf *trace.Buffer, observe func(*mach.Machine)) (cycle
 			seen(m)
 		}
 	}
-	if s.forge != nil {
-		o, ferr := s.forge.ObservedRun(*s.cfg.Spec, s.cfg.Policy, s.cfg.MaxCycles, buf, false, observe)
-		if ferr != nil {
-			return 0, "", nil, ferr
-		}
-		return o.Cycles, o.Err, &o, nil
-	}
-	res, rerr := s.ctx.Fork(run.Options{
-		Policy:    s.cfg.Policy,
-		MaxCycles: s.cfg.MaxCycles,
-		Backend:   s.cfg.Backend,
-		Trace:     buf,
-		Arm:       observe,
-	})
-	if rerr != nil {
-		runErr = rerr.Error()
-	}
-	if res != nil {
-		cycles = res.Cycles
-	}
-	return cycles, runErr, nil, nil
+	return s.forge.Trial(s.cfg.Spec, s.cfg.Policy, s.cfg.MaxCycles, buf, false, observe)
 }
 
 // Store exposes the recording's indexed trace store.
@@ -212,12 +176,7 @@ func (s *Session) GlobalAt(addr uint32) (string, uint32) {
 	return "", 0
 }
 
-func (s *Session) instMod() *ir.Module {
-	if s.forge != nil {
-		return s.forge.Instance().Mod
-	}
-	return s.ctx.Inst.Mod
-}
+func (s *Session) instMod() *ir.Module { return s.forge.Instance().Mod }
 
 // timed wraps one query for the debug_* counters.
 func (s *Session) timed(fn func() (string, error)) (string, error) {

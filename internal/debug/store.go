@@ -12,7 +12,7 @@
 // The design leans on two established invariants rather than fighting
 // the machine's host-stack activation records:
 //
-//   - Forked trials are byte-identical (run.OPECContext / inject.Forge),
+//   - Forked trials are byte-identical (run.Context / inject.Forge),
 //     so "restore and re-execute forward" is implemented as replay from
 //     the boot checkpoint with fresh observers attached — every query
 //     sees exactly the recorded run.

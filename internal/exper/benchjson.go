@@ -359,7 +359,7 @@ func measureSnapshot(parallel int) (BenchSnapshot, error) {
 	}
 	gateOnly(bootPlans)
 	start := time.Now()
-	if err := h.runInjectBoot(bootPlans, pol); err != nil {
+	if err := h.runInject(bootPlans, pol, EngineBoot); err != nil {
 		return BenchSnapshot{}, err
 	}
 	bootWall := time.Since(start).Seconds()
@@ -371,7 +371,7 @@ func measureSnapshot(parallel int) (BenchSnapshot, error) {
 	}
 	gateOnly(forkPlans)
 	start = time.Now()
-	if err := h.runInjectFork(forkPlans, pol); err != nil {
+	if err := h.runInject(forkPlans, pol, EngineFork); err != nil {
 		return BenchSnapshot{}, err
 	}
 	forkWall := time.Since(start).Seconds()

@@ -127,42 +127,42 @@ func (c *Cache) OPECBuild(app *apps.App, s AppSet) (*core.Build, error) {
 	return a.b, nil
 }
 
-// OPECRun returns the memoized OPEC execution of app at scale s,
-// reusing the cached build. The instance's correctness check runs once
-// after the first execution; a check failure is memoized as the key's
-// error.
+// OPECRun returns the memoized, checked OPEC execution of app at scale
+// s, reusing the cached build.
 func (c *Cache) OPECRun(app *apps.App, s AppSet) (*run.Result, error) {
-	v, err := c.get(cacheKey{app: app.Name, scale: s, scheme: "opec+run"}, func() (interface{}, error) {
+	return c.checkedRun(app, s, "opec", "under OPEC", func() (*run.Context, error) {
 		a, err := c.opecArtifact(app, s)
 		if err != nil {
 			return nil, err
 		}
-		res, err := run.OPECPrecompiled(a.inst, a.b)
-		if err != nil {
-			return nil, fmt.Errorf("run %s under OPEC: %w", app.Name, err)
-		}
-		if err := run.AndCheck(a.inst, res); err != nil {
-			return nil, fmt.Errorf("check %s under OPEC: %w", app.Name, err)
-		}
-		return res, nil
+		return run.BootOPEC(a.inst, a.b)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*run.Result), nil
 }
 
-// VanillaRun returns the memoized baseline execution of app at scale s,
-// checked once.
+// VanillaRun returns the memoized, checked baseline execution of app at
+// scale s.
 func (c *Cache) VanillaRun(app *apps.App, s AppSet) (*run.Result, error) {
-	v, err := c.get(cacheKey{app: app.Name, scale: s, scheme: "vanilla+run"}, func() (interface{}, error) {
-		inst := app.New()
-		res, err := run.Vanilla(inst)
+	return c.checkedRun(app, s, "vanilla", "vanilla", func() (*run.Context, error) {
+		return run.BootVanilla(app.New())
+	})
+}
+
+// checkedRun memoizes one execution per (app, scale, scheme): boot,
+// one run from the checkpoint, then the instance's correctness check.
+// A run or check failure is memoized as the key's error; what names
+// the scheme in it.
+func (c *Cache) checkedRun(app *apps.App, s AppSet, scheme, what string, boot func() (*run.Context, error)) (*run.Result, error) {
+	v, err := c.get(cacheKey{app: app.Name, scale: s, scheme: scheme + "+run"}, func() (interface{}, error) {
+		ctx, err := boot()
 		if err != nil {
-			return nil, fmt.Errorf("run %s vanilla: %w", app.Name, err)
+			return nil, fmt.Errorf("run %s %s: %w", app.Name, what, err)
 		}
-		if err := run.AndCheck(inst, res); err != nil {
-			return nil, fmt.Errorf("check %s vanilla: %w", app.Name, err)
+		res, err := ctx.Fork(run.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("run %s %s: %w", app.Name, what, err)
+		}
+		if err := run.AndCheck(ctx.Inst, res); err != nil {
+			return nil, fmt.Errorf("check %s %s: %w", app.Name, what, err)
 		}
 		return res, nil
 	})
@@ -196,24 +196,16 @@ func (c *Cache) ACESBuild(app *apps.App, s AppSet, strat aces.Strategy) (*aces.B
 	return a.b, nil
 }
 
-// ACESRun returns the memoized ACES execution of app under strat,
-// reusing the cached build.
+// ACESRun returns the memoized, checked ACES execution of app under
+// strat, reusing the cached build.
 func (c *Cache) ACESRun(app *apps.App, s AppSet, strat aces.Strategy) (*run.Result, error) {
-	v, err := c.get(cacheKey{app: app.Name, scale: s, scheme: "aces:" + strat.String() + "+run"}, func() (interface{}, error) {
+	return c.checkedRun(app, s, "aces:"+strat.String(), "under "+strat.String(), func() (*run.Context, error) {
 		a, err := c.acesArtifact(app, s, strat)
 		if err != nil {
 			return nil, err
 		}
-		res, err := run.ACESPrecompiled(a.inst, a.b)
-		if err != nil {
-			return nil, fmt.Errorf("run %s under %v: %w", app.Name, strat, err)
-		}
-		return res, nil
+		return run.BootACES(a.inst, a.b)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*run.Result), nil
 }
 
 // profileArtifact pairs a traced OPEC run with its event buffer and

@@ -1,10 +1,13 @@
 package exper_test
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"opec/internal/aces"
+	"opec/internal/apps"
 	"opec/internal/core"
 	"opec/internal/exper"
 )
@@ -139,6 +142,33 @@ func TestCacheRunReusesBuild(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Error("same-key OPECRun returned distinct results")
+	}
+}
+
+// TestCacheRunsAreChecked: every memoized run — OPEC, vanilla and each
+// ACES strategy — runs the instance's correctness check, and a failed
+// check is the key's error, naming the scheme.
+func TestCacheRunsAreChecked(t *testing.T) {
+	base := exper.AppsFor(exper.Quick)[0]
+	broken := &apps.App{Name: base.Name, New: func() *apps.Instance {
+		inst := base.New()
+		inst.Check = func(apps.ReadGlobal) error { return errors.New("deliberately failed") }
+		return inst
+	}}
+	c := exper.NewCache()
+	runs := map[string]func() error{
+		"under OPEC": func() error { _, err := c.OPECRun(broken, exper.Quick); return err },
+		"vanilla":    func() error { _, err := c.VanillaRun(broken, exper.Quick); return err },
+	}
+	for _, strat := range exper.Strategies {
+		strat := strat
+		runs["under "+strat.String()] = func() error { _, err := c.ACESRun(broken, exper.Quick, strat); return err }
+	}
+	for what, run := range runs {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "check "+base.Name+" "+what) || !strings.Contains(err.Error(), "deliberately failed") {
+			t.Errorf("%s: run with a failing check returned %v", what, err)
+		}
 	}
 }
 

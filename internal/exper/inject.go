@@ -133,12 +133,7 @@ func (h *Harness) InjectWith(s AppSet, cfg inject.Config, pol monitor.Policy, en
 	if err != nil {
 		return nil, err
 	}
-	if engine == EngineBoot {
-		err = h.runInjectBoot(plans, pol)
-	} else {
-		err = h.runInjectFork(plans, pol)
-	}
-	if err != nil {
+	if err := h.runInject(plans, pol, engine); err != nil {
 		return nil, err
 	}
 	return aggregateInject(plans), nil
@@ -215,64 +210,38 @@ func (h *Harness) planInject(s AppSet, cfg inject.Config, pol monitor.Policy) ([
 	return plans, nil
 }
 
-// runInjectBoot executes every trial from power-on, fanning the flat
-// trial list over the worker pool.
-func (h *Harness) runInjectBoot(plans []*rowPlan, pol monitor.Policy) error {
-	type job struct {
-		plan *rowPlan
-		idx  int
-	}
-	var jobs []job
-	for _, p := range plans {
-		p.row.Outcomes = make([]inject.Outcome, len(p.specs))
-		for i := range p.specs {
-			jobs = append(jobs, job{plan: p, idx: i})
-		}
-	}
-	return h.forEach(len(jobs), func(i int) error {
-		j := jobs[i]
-		sp := j.plan.specs[j.idx]
-		var out inject.Outcome
-		var err error
-		if j.plan.aces {
-			out, err = inject.RunACES(j.plan.app, sp, aces.FilenameNoOpt, j.plan.budget)
-		} else {
-			out, err = inject.RunOPEC(j.plan.app, sp, pol, j.plan.budget)
-		}
-		if err != nil {
-			return fmt.Errorf("inject: %s trial %s: %w", j.plan.app.Name, sp, err)
-		}
-		j.plan.row.Outcomes[j.idx] = out
-		return nil
-	})
-}
-
-// runInjectFork executes each row on its own forge: boot once,
-// checkpoint, fork every trial from the snapshot. Parallelism moves up
-// a level — across rows rather than trials — because a forge's
-// machine is inherently serial.
-func (h *Harness) runInjectFork(plans []*rowPlan, pol monitor.Policy) error {
+// runInject executes every row's trials in planning order. The fork
+// engine boots one forge per row and forks every trial from its
+// checkpoint; the boot engine boots a fresh forge for every trial —
+// the same trial code with a power-on lifetime. Rows run in parallel;
+// a forge's machine is serial.
+func (h *Harness) runInject(plans []*rowPlan, pol monitor.Policy, engine InjectEngine) error {
 	return h.forEach(len(plans), func(i int) error {
 		p := plans[i]
-		var forge *inject.Forge
-		var err error
-		if p.aces {
-			forge, err = inject.NewACESForge(p.app, aces.FilenameNoOpt)
-		} else {
-			forge, err = inject.NewForge(p.app)
+		newForge := func() (*inject.Forge, error) {
+			if p.aces {
+				return inject.NewACESForge(p.app, aces.FilenameNoOpt)
+			}
+			return inject.NewForge(p.app)
 		}
-		if err != nil {
-			return fmt.Errorf("inject: %s: %w", p.app.Name, err)
+		var rowForge *inject.Forge
+		if engine == EngineFork {
+			var err error
+			if rowForge, err = newForge(); err != nil {
+				return fmt.Errorf("inject: %s: %w", p.app.Name, err)
+			}
+			p.row.SnapID = rowForge.SnapshotID()
 		}
-		p.row.SnapID = forge.SnapshotID()
 		p.row.Outcomes = make([]inject.Outcome, len(p.specs))
 		for k, sp := range p.specs {
-			var out inject.Outcome
-			if p.aces {
-				out, err = forge.Run(sp, monitor.Policy{}, p.budget)
-			} else {
-				out, err = forge.Run(sp, pol, p.budget)
+			forge := rowForge
+			if forge == nil {
+				var err error
+				if forge, err = newForge(); err != nil {
+					return fmt.Errorf("inject: %s: %w", p.app.Name, err)
+				}
 			}
+			out, err := forge.Run(sp, pol, p.budget)
 			if err != nil {
 				return fmt.Errorf("inject: %s trial %s: %w", p.app.Name, sp, err)
 			}

@@ -12,20 +12,19 @@ import (
 	"opec/internal/trace"
 )
 
-// Forge is the boot-once/fork-many trial engine. A Forge compiles and
-// boots one (app, scheme) pair, checkpoints the machine at the
-// pre-injection point, and then runs every trial by restoring the
-// checkpoint instead of rebuilding from power-on — the expensive
-// per-trial work (app construction, compilation, static proof search,
-// boot-time memory initialization) is paid once per campaign row.
+// Forge is the trial engine. A Forge compiles and boots one (app,
+// scheme) pair into a checkpointed run.Context, then runs every trial
+// by forking the checkpoint instead of rebuilding from power-on — the
+// expensive per-trial work (app construction, compilation, static proof
+// search, boot-time memory initialization) is paid once per campaign
+// row.
 //
-// Correctness contract: Forge.Run(spec, pol, maxCycles) returns an
-// Outcome byte-identical to RunOPEC(app, spec, pol, maxCycles) —
-// verdict, error text, cycle count and recovery counters — because
-// the checkpoint is taken at exactly the point the power-on path would
-// arm the injection, and restore rewinds clock, stats and monitor
-// bookkeeping to their boot values. cmd/opec-bench's differential mode
-// asserts this over whole campaigns.
+// Correctness contract: a power-on trial is a fresh forge running one
+// trial (RunOPEC, RunACES), and a fork equals a power-on run by
+// construction of run.Context, so any trial on a long-lived forge
+// returns an Outcome byte-identical to its power-on run — verdict,
+// error text, cycle count and recovery counters. cmd/opec-bench's
+// differential mode asserts this over whole campaigns.
 //
 // The snapshot ID plus a spec string is a complete replay coordinate:
 // `opec-run -replay '<id>@<spec>'` rebuilds the forge (compilation is
@@ -35,14 +34,15 @@ type Forge struct {
 	App *apps.App
 
 	// Backend selects the execution backend for every forked trial
-	// ("" = interpreter, "xlat" = threaded code). Set it before the
-	// first Run; trials are byte-identical either way, which is exactly
-	// what the fuzzing campaigns' cross-backend identity test asserts.
+	// ("interp", "xlat", or "" for run.DefaultBackend as it reads when
+	// the trial forks). Set it before the first Run; trials are
+	// byte-identical either way, which is exactly what the fuzzing
+	// campaigns' cross-backend identity test asserts.
 	Backend string
 
-	inst *apps.Instance
-	opec *run.OPECContext // exactly one of opec/acesCtx is set
-	aces *run.ACESContext
+	ctx   *run.Context
+	build *core.Build // OPEC forges
+	acesB *aces.Build // ACES forges: injections resolve globals by its fixed layout
 }
 
 // NewForge compiles and boots app under OPEC and checkpoints it.
@@ -56,7 +56,7 @@ func NewForge(app *apps.App) (*Forge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inject: boot %s: %w", app.Name, err)
 	}
-	return &Forge{App: app, inst: inst, opec: ctx}, nil
+	return &Forge{App: app, ctx: ctx, build: b}, nil
 }
 
 // NewACESForge compiles and boots app under the ACES baseline with the
@@ -71,85 +71,74 @@ func NewACESForge(app *apps.App, strat aces.Strategy) (*Forge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inject: boot %s: %w", app.Name, err)
 	}
-	return &Forge{App: app, inst: inst, aces: ctx}, nil
+	return &Forge{App: app, ctx: ctx, acesB: b}, nil
 }
 
 // SnapshotID identifies the checkpoint all trials fork from.
-func (f *Forge) SnapshotID() string {
-	if f.opec != nil {
-		return f.opec.SnapshotID()
-	}
-	return f.aces.SnapshotID()
-}
+func (f *Forge) SnapshotID() string { return f.ctx.SnapshotID() }
 
 // Reset rewinds to the checkpoint without running a trial — the
 // fork-latency benchmark times this in isolation.
-func (f *Forge) Reset() error {
-	if f.opec != nil {
-		return f.opec.Reset()
-	}
-	return f.aces.Reset()
-}
+func (f *Forge) Reset() error { return f.ctx.Reset() }
 
 // Build returns the compiled OPEC build, nil for an ACES forge.
-func (f *Forge) Build() *core.Build {
-	if f.opec != nil {
-		return f.opec.B
-	}
-	return nil
-}
+func (f *Forge) Build() *core.Build { return f.build }
 
 // Instance returns the booted workload instance. Trials fork from a
 // checkpoint, so its device and memory state is the boot-time state —
 // the fuzzing engine reads its seed corpus (the scripted frame queue)
 // from here.
-func (f *Forge) Instance() *apps.Instance { return f.inst }
+func (f *Forge) Instance() *apps.Instance { return f.ctx.Inst }
 
 // Run executes one trial from the checkpoint. A maxCycles of 0 keeps
 // the instance's own budget.
 func (f *Forge) Run(spec Spec, pol monitor.Policy, maxCycles uint64) (Outcome, error) {
-	if f.opec != nil {
-		return f.runOPEC(spec, pol, maxCycles, nil, false, nil)
-	}
-	return f.runACES(spec, maxCycles)
+	return f.Trial(&spec, pol, maxCycles, nil, false, nil)
 }
 
-// TraceRun is Run with an event trace attached to the forked trial
-// (the forked analogue of TraceOPEC). With cov set, the machine also
-// emits per-block coverage events into the trace — the fuzzing
-// engine's feedback channel. OPEC forges only.
+// TraceRun is Run with an event trace attached to the trial; with cov
+// set the machine also emits per-block coverage events into it — the
+// fuzzing engine's feedback channel.
 func (f *Forge) TraceRun(spec Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer, cov bool) (Outcome, error) {
-	if f.opec == nil {
-		return Outcome{}, fmt.Errorf("inject: TraceRun on an ACES forge")
-	}
-	return f.runOPEC(spec, pol, maxCycles, buf, cov, nil)
+	return f.Trial(&spec, pol, maxCycles, buf, cov, nil)
 }
 
-// ObservedRun is TraceRun with a machine observer: after the standard
-// trial arming (restore, proofs cleared, injection armed) and before
-// the run, observe receives the forked machine. The time-travel
-// debugger binds its keyframe checkpointer and data watchpoints here —
-// observation points that must attach after the restore that would
-// otherwise clear them. The observer must not perturb architected
-// state; trials stay byte-identical with and without one. OPEC forges
-// only.
+// ObservedRun is TraceRun with a machine observer (see Trial).
 func (f *Forge) ObservedRun(spec Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer, cov bool, observe func(*mach.Machine)) (Outcome, error) {
-	if f.opec == nil {
-		return Outcome{}, fmt.Errorf("inject: ObservedRun on an ACES forge")
-	}
-	return f.runOPEC(spec, pol, maxCycles, buf, cov, observe)
+	return f.Trial(&spec, pol, maxCycles, buf, cov, observe)
 }
 
-func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer, cov bool, observe func(*mach.Machine)) (out Outcome, err error) {
-	out.Spec = spec
-	b := f.opec.B
-	fire, state, err := buildFire(spec, f.inst, b.Board, nil)
-	if err != nil {
-		return out, err
-	}
-	trigger := f.inst.Mod.Func(spec.Func)
-	if trigger == nil {
-		return out, fmt.Errorf("inject: %s: no trigger function %q", f.App.Name, spec.Func)
+// Trial forks one run from the checkpoint and classifies it. spec, when
+// non-nil, is armed at its trigger; a nil spec runs the workload clean,
+// with its proofs in place, and a clean outcome is classified as a
+// trial whose fault fired and did nothing. pol is the recovery policy
+// (OPEC only), maxCycles the budget (0 keeps the instance's own), buf
+// the event trace (nil for none) and cov adds per-block coverage events
+// to it. observe, when non-nil, receives the forked machine after the
+// arming and before the run — the time-travel debugger binds its
+// keyframe checkpointer and data watchpoints there, observation points
+// that must attach after the restore that would otherwise clear them.
+// The observer must not perturb architected state; trials stay
+// byte-identical with and without one.
+func (f *Forge) Trial(spec *Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer, cov bool, observe func(*mach.Machine)) (out Outcome, err error) {
+	inst := f.ctx.Inst
+	state := &fireState{fired: true}
+	var inj *mach.Injection
+	if spec != nil {
+		out.Spec = *spec
+		if f.acesB != nil && spec.Kind == BadGate {
+			// ACES has no supervisor-call gate to attack.
+			return out, nil
+		}
+		var fire func(*mach.Machine) error
+		if fire, state, err = buildFire(*spec, inst, inst.Board, f.acesB); err != nil {
+			return out, err
+		}
+		trigger := inst.Mod.Func(spec.Func)
+		if trigger == nil {
+			return out, fmt.Errorf("inject: %s: no trigger function %q", f.App.Name, spec.Func)
+		}
+		inj = &mach.Injection{Func: trigger, N: spec.N, Fire: fire}
 	}
 
 	defer func() {
@@ -159,24 +148,29 @@ func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *tr
 			err = nil
 		}
 	}()
-	res, runErr := f.opec.Fork(run.Options{
+	res, runErr := f.ctx.Fork(run.Options{
 		Policy:    pol,
 		MaxCycles: maxCycles,
 		Backend:   f.Backend,
 		Trace:     buf,
 		Arm: func(m *mach.Machine) {
-			// Same arming as the power-on path (TraceOPEC): campaigns run
-			// fully adjudicated. The restore that preceded this call
-			// reinstated the boot-time certificate table; clearing it here,
-			// after restore, is what keeps a later in-trial restart from
-			// resurrecting elision for the corrupted run.
-			m.InstallProofs(nil)
+			if inj != nil {
+				// Campaigns run fully adjudicated: an injected bit-flip
+				// can steer a certified access outside its proven
+				// interval, and real hardware checks every access
+				// regardless of proofs. The restore that preceded this
+				// call reinstated the boot-time certificate table;
+				// clearing it here, after restore, is what keeps a later
+				// in-trial restart from resurrecting elision for the
+				// corrupted run.
+				m.InstallProofs(nil)
+				m.Arm(inj)
+			}
 			// The assignment (not a conditional set) matters: CovEvents is
 			// host-side machine state the snapshot doesn't rewind, so a
 			// coverage-traced trial must not leak the flag into the next
 			// plain trial on the same forge.
 			m.CovEvents = cov
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
 			if observe != nil {
 				observe(m)
 			}
@@ -184,7 +178,7 @@ func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *tr
 	})
 	var checkErr error
 	if runErr == nil {
-		checkErr = run.AndCheck(f.inst, res)
+		checkErr = run.AndCheck(inst, res)
 	}
 	if res != nil {
 		out.Cycles = res.Cycles
@@ -197,46 +191,5 @@ func (f *Forge) runOPEC(spec Spec, pol monitor.Policy, maxCycles uint64, buf *tr
 		}
 	}
 	out.Verdict, out.Err = classify(state, out.Restarts+out.Quarantines, runErr, checkErr)
-	return out, nil
-}
-
-func (f *Forge) runACES(spec Spec, maxCycles uint64) (out Outcome, err error) {
-	out.Spec = spec
-	if spec.Kind == BadGate {
-		// ACES has no supervisor-call gate to attack (matches RunACES).
-		return out, nil
-	}
-	b := f.aces.B
-	fire, state, err := buildFire(spec, f.inst, b.Board, b)
-	if err != nil {
-		return out, err
-	}
-	trigger := f.inst.Mod.Func(spec.Func)
-	if trigger == nil {
-		return out, fmt.Errorf("inject: %s: no trigger function %q", f.App.Name, spec.Func)
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			out.Verdict = CrashedMonitor
-			out.Err = fmt.Sprintf("panic: %v", r)
-			err = nil
-		}
-	}()
-	res, runErr := f.aces.Fork(run.Options{
-		MaxCycles: maxCycles,
-		Backend:   f.Backend,
-		Arm: func(m *mach.Machine) {
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
-		},
-	})
-	var checkErr error
-	if runErr == nil {
-		checkErr = run.AndCheck(f.inst, res)
-	}
-	if res != nil {
-		out.Cycles = res.Cycles
-	}
-	out.Verdict, out.Err = classify(state, 0, runErr, checkErr)
 	return out, nil
 }

@@ -124,6 +124,9 @@ func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s forge: %v", backend, err)
 		}
+		// Trials read the process default when they fork, so each forge
+		// pins its own backend.
+		f.Backend = backend
 		return f
 	}
 	fi := mkForge(run.BackendInterp)

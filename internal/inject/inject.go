@@ -6,11 +6,9 @@ import (
 
 	"opec/internal/aces"
 	"opec/internal/apps"
-	"opec/internal/core"
 	"opec/internal/ir"
 	"opec/internal/mach"
 	"opec/internal/monitor"
-	"opec/internal/run"
 	"opec/internal/trace"
 )
 
@@ -36,10 +34,9 @@ type Outcome struct {
 	RejectQuarantined uint64
 }
 
-// RunOPEC executes one trial under OPEC with the given recovery policy.
-// Each trial compiles a fresh workload instance: devices are stateful
-// and compilation instruments the module, so nothing can be shared. A
-// maxCycles of 0 keeps the instance's own budget.
+// RunOPEC executes one trial under OPEC with the given recovery policy
+// from power-on: a fresh forge running one trial. A maxCycles of 0
+// keeps the instance's own budget.
 func RunOPEC(app *apps.App, spec Spec, pol monitor.Policy, maxCycles uint64) (Outcome, error) {
 	return TraceOPEC(app, spec, pol, maxCycles, nil)
 }
@@ -47,107 +44,23 @@ func RunOPEC(app *apps.App, spec Spec, pol monitor.Policy, maxCycles uint64) (Ou
 // TraceOPEC is RunOPEC with an event trace attached to the trial's run
 // (nil buf behaves exactly like RunOPEC). The golden-trace exploit
 // tests use it to assert the gate-fault-containment event sequence.
-func TraceOPEC(app *apps.App, spec Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer) (out Outcome, err error) {
-	out.Spec = spec
-	inst := app.New()
-	if maxCycles > 0 {
-		inst.MaxCycles = maxCycles
-	}
-	b, err := core.Compile(inst.Mod, inst.Board, inst.Cfg)
+func TraceOPEC(app *apps.App, spec Spec, pol monitor.Policy, maxCycles uint64, buf *trace.Buffer) (Outcome, error) {
+	f, err := NewForge(app)
 	if err != nil {
-		return out, fmt.Errorf("inject: compile %s: %w", app.Name, err)
+		return Outcome{Spec: spec}, err
 	}
-	fire, state, err := buildFire(spec, inst, b.Board, nil)
-	if err != nil {
-		return out, err
-	}
-	trigger := inst.Mod.Func(spec.Func)
-	if trigger == nil {
-		return out, fmt.Errorf("inject: %s: no trigger function %q", app.Name, spec.Func)
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			out.Verdict = CrashedMonitor
-			out.Err = fmt.Sprintf("panic: %v", r)
-			err = nil
-		}
-	}()
-	res, runErr := run.OPECWith(inst, b, run.Options{
-		Policy: pol,
-		Trace:  buf,
-		Arm: func(m *mach.Machine) {
-			// Campaigns run fully adjudicated: an injected bit-flip can
-			// steer a certified access outside its proven interval, and
-			// real hardware checks every access regardless of proofs.
-			m.InstallProofs(nil)
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
-		},
-	})
-	var checkErr error
-	if runErr == nil {
-		checkErr = run.AndCheck(inst, res)
-	}
-	if res != nil {
-		out.Cycles = res.Cycles
-		if res.Mon != nil {
-			out.Restarts = res.Mon.Stats.Restarts
-			out.Quarantines = res.Mon.Stats.Quarantines
-			out.RestartCycles = res.Mon.Stats.RestartCycles
-			out.RejectNonEntry = res.Mon.Stats.GateRejectNonEntry
-			out.RejectQuarantined = res.Mon.Stats.GateRejectQuarantined
-		}
-	}
-	out.Verdict, out.Err = classify(state, out.Restarts+out.Quarantines, runErr, checkErr)
-	return out, nil
+	return f.TraceRun(spec, pol, maxCycles, buf, false)
 }
 
 // RunACES executes one trial under the ACES baseline with the given
-// compartmentalization strategy. BadGate specs are reported Untriggered:
-// ACES has no supervisor-call gate to attack.
-func RunACES(app *apps.App, spec Spec, strat aces.Strategy, maxCycles uint64) (out Outcome, err error) {
-	out.Spec = spec
-	if spec.Kind == BadGate {
-		return out, nil
-	}
-	inst := app.New()
-	if maxCycles > 0 {
-		inst.MaxCycles = maxCycles
-	}
-	b, err := aces.Compile(inst.Mod, inst.Board, strat)
+// compartmentalization strategy from power-on. BadGate specs are
+// reported Untriggered: ACES has no supervisor-call gate to attack.
+func RunACES(app *apps.App, spec Spec, strat aces.Strategy, maxCycles uint64) (Outcome, error) {
+	f, err := NewACESForge(app, strat)
 	if err != nil {
-		return out, fmt.Errorf("inject: compile %s under %v: %w", app.Name, strat, err)
+		return Outcome{Spec: spec}, err
 	}
-	fire, state, err := buildFire(spec, inst, b.Board, b)
-	if err != nil {
-		return out, err
-	}
-	trigger := inst.Mod.Func(spec.Func)
-	if trigger == nil {
-		return out, fmt.Errorf("inject: %s: no trigger function %q", app.Name, spec.Func)
-	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			out.Verdict = CrashedMonitor
-			out.Err = fmt.Sprintf("panic: %v", r)
-			err = nil
-		}
-	}()
-	res, runErr := run.ACESWith(inst, b, run.Options{
-		Arm: func(m *mach.Machine) {
-			m.Arm(&mach.Injection{Func: trigger, N: spec.N, Fire: fire})
-		},
-	})
-	var checkErr error
-	if runErr == nil {
-		checkErr = run.AndCheck(inst, res)
-	}
-	if res != nil {
-		out.Cycles = res.Cycles
-	}
-	out.Verdict, out.Err = classify(state, 0, runErr, checkErr)
-	return out, nil
+	return f.Run(spec, monitor.Policy{}, maxCycles)
 }
 
 // fireState is what the Fire hook observed, read after the run for

@@ -28,6 +28,9 @@ import (
 //     attachments; Restore clears both the store and raw watches.
 //   - Handlers/GlobalAddr: runtime wiring owned by the scheme runtime,
 //     unchanged by execution and so shared by reference.
+//   - The frame pool: host storage for activation records. Restore
+//     keeps it and zeroes the nominal sizes mach.frame_reuse counts
+//     from.
 
 // Stateful is implemented by device models whose register-file state
 // mutates during a run. Snapshot captures SaveState() for every
@@ -236,6 +239,13 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.InstrCount = s.instrCount
 	m.SwitchCount = s.switchCount
 	m.frameReuse = s.frameReuse
+	// The reuse counter is computed from the pooled frames' nominal
+	// sizes, so those rewind with it: every run from the checkpoint
+	// counts the same reuses, whatever ran before it. The storage stays
+	// pooled.
+	for _, fr := range m.frames {
+		fr.ncap = 0
+	}
 	m.proofElided = s.proofElided
 	m.proofChecked = s.proofChecked
 	m.depth = 0

@@ -14,10 +14,8 @@ import (
 	"opec/internal/analysis"
 	"opec/internal/apps"
 	"opec/internal/core"
-	"opec/internal/dev"
-	"opec/internal/image"
 	"opec/internal/ir"
-	"opec/internal/mach"
+	"opec/internal/run"
 	"opec/internal/trace"
 )
 
@@ -158,36 +156,6 @@ func TraceTasks(inst *apps.Instance) (*TaskTrace, error) {
 		entrySet[name] = true
 	}
 
-	van, err := image.BuildVanilla(inst.Mod, inst.Board)
-	if err != nil {
-		return nil, err
-	}
-	bus := mach.NewBus(inst.Board.FlashSize, inst.Board.SRAMSize, inst.Clk)
-	// Every board has the flash-interface block the clock bring-up
-	// programs, plus the GPIO ports the pin-mux table touches that the
-	// workloads don't model behaviourally.
-	if err := bus.Attach(dev.NewFlashIF()); err != nil {
-		return nil, err
-	}
-	if err := bus.Attach(dev.NewGPIO(mach.GPIOBBase, inst.Clk)); err != nil {
-		return nil, err
-	}
-	if err := bus.Attach(dev.NewGPIO(mach.GPIOCBase, inst.Clk)); err != nil {
-		return nil, err
-	}
-	for _, d := range inst.Devices {
-		if err := bus.Attach(d); err != nil {
-			return nil, err
-		}
-	}
-	if inst.NeedsDMA2D {
-		if err := bus.Attach(dev.NewDMA2D(inst.Clk, bus)); err != nil {
-			return nil, err
-		}
-	}
-	m := van.Instantiate(bus)
-	m.MaxCycles = inst.MaxCycles
-
 	tr := &TaskTrace{Executed: make(map[string]map[string]bool)}
 	record := func(task, fn string) {
 		set := tr.Executed[task]
@@ -202,11 +170,8 @@ func TraceTasks(inst *apps.Instance) (*TaskTrace, error) {
 	// ring drops cannot lose attribution.
 	buf := trace.NewBuffer(64)
 	buf.Attach(&taskFolder{buf: buf, entries: entrySet, stack: []string{"main"}, record: record})
-	m.AttachTrace(buf)
-
-	mainFn := inst.Mod.MustFunc("main")
-	record("main", mainFn.Name)
-	if _, err := m.Run(mainFn); err != nil {
+	record("main", "main")
+	if _, err := run.VanillaWith(inst, run.Options{Trace: buf}); err != nil {
 		return nil, err
 	}
 	return tr, nil

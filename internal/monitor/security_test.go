@@ -65,7 +65,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			in := &ir.Instr{Op: ir.OpStore, Typ: ir.I8, Args: []ir.Value{g, ir.CI(0xAB)}}
 			entry.Entry().Instrs = append([]*ir.Instr{in}, entry.Entry().Instrs...)
 
-			_, err = run.OPECPrecompiled(inst, b)
+			_, err = run.OPECWith(inst, b, run.Options{})
 			var f *mach.Fault
 			if !errors.As(err, &f) || f.Kind != mach.FaultMemManage || !f.Write {
 				t.Fatalf("injected write %s<-%s not blocked: %v", p.global, p.entry, err)
@@ -93,7 +93,7 @@ func TestFlashImmutable(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpStore, Typ: ir.I8, Args: []ir.Value{g, ir.CI(0)}}
 	entry.Entry().Instrs = append([]*ir.Instr{in}, entry.Entry().Instrs...)
 
-	_, err = run.OPECPrecompiled(inst, b)
+	_, err = run.OPECWith(inst, b, run.Options{})
 	var f *mach.Fault
 	if !errors.As(err, &f) || !f.Write {
 		t.Fatalf("flash write not blocked: %v", err)
@@ -116,7 +116,7 @@ func TestRelocationTableTamperBlocked(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpStore, Typ: ir.I32, Args: []ir.Value{ir.CI(slot), ir.CI(mach.SRAMBase)}}
 	entry.Entry().Instrs = append([]*ir.Instr{in}, entry.Entry().Instrs...)
 
-	_, err = run.OPECPrecompiled(inst, b)
+	_, err = run.OPECWith(inst, b, run.Options{})
 	var f *mach.Fault
 	if !errors.As(err, &f) || f.Kind != mach.FaultMemManage || f.Addr != slot {
 		t.Fatalf("relocation-table tamper not blocked: %v", err)
@@ -134,7 +134,7 @@ func TestMonitorDataTamperBlocked(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpStore, Typ: ir.I32, Args: []ir.Value{ir.CI(b.MonDataBase), ir.CI(0xDEAD)}}
 	entry.Entry().Instrs = append([]*ir.Instr{in}, entry.Entry().Instrs...)
 
-	_, err = run.OPECPrecompiled(inst, b)
+	_, err = run.OPECWith(inst, b, run.Options{})
 	var f *mach.Fault
 	if !errors.As(err, &f) || f.Kind != mach.FaultMemManage {
 		t.Fatalf("monitor-data tamper not blocked: %v", err)
@@ -156,7 +156,7 @@ func TestCrossOperationReadAllowed(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpLoad, Typ: ir.I8, Args: []ir.Value{key}}
 	setInstrID(t, entry, in)
 
-	if _, err = run.OPECPrecompiled(inst, b); err != nil {
+	if _, err = run.OPECWith(inst, b, run.Options{}); err != nil {
 		t.Fatalf("cross-operation read should not fault under the paper's region-0 policy: %v", err)
 	}
 }

@@ -1,7 +1,16 @@
-// Package run executes workload instances under the three build
-// flavours the evaluation compares: the vanilla baseline (privileged,
-// MPU off), OPEC (operation isolation under the monitor) and ACES
-// (compartment isolation under its runtime).
+// Package run executes workload instances under the build flavours the
+// evaluation compares: the vanilla baseline (privileged, MPU off), OPEC
+// (operation isolation under the monitor, on the MPU or the RISC-V PMP)
+// and ACES (compartment isolation under its runtime).
+//
+// Every flavour runs through one path. A Boot constructor builds the
+// instance's bus, boots the scheme's runtime on it and checkpoints the
+// machine and the runtime's own state, giving a Context. Context.Fork
+// restores the checkpoint and runs it once under Options, as many times
+// as the caller likes: the fault-injection forge and the debugger fork
+// every trial from one boot. The power-on entry points (Vanilla, OPEC,
+// ACES and their With forms) are a Boot followed by one Fork, so a
+// forked run equals a power-on run by construction.
 package run
 
 import (
@@ -77,24 +86,6 @@ func reader(m *mach.Machine, inst *apps.Instance) apps.ReadGlobal {
 	}
 }
 
-// finish normalizes a run's outcome. A failure is wrapped with where
-// the program was when it happened — the faulting operation or
-// compartment — so containment verdicts (and users) see where the
-// fault was caught, on top of the interpreter's ExecError which names
-// the faulting function and PC.
-func finish(m *mach.Machine, err error, where string) error {
-	if err != nil {
-		if where != "" {
-			return fmt.Errorf("run: in %s: %w", where, err)
-		}
-		return err
-	}
-	if !m.Halted {
-		return fmt.Errorf("run: program returned without reaching its halt point")
-	}
-	return nil
-}
-
 // Options tunes a run beyond the paper's defaults.
 type Options struct {
 	// Policy selects the monitor's fault-recovery policy (OPEC only).
@@ -104,12 +95,11 @@ type Options struct {
 	Arm func(m *mach.Machine)
 	// Trace, when non-nil, receives the run's event stream: exception
 	// entries, gate crossings, MPU programming, faults, recovery
-	// actions. Attached right after boot, before execution starts; nil
-	// keeps every emit site on its zero-cost path.
+	// actions. Attached right after the restore, before execution
+	// starts; nil keeps every emit site on its zero-cost path.
 	Trace *trace.Buffer
 	// MaxCycles, when non-zero, overrides the instance's cycle budget
-	// for this run (the campaign forge sets per-trial budgets on a
-	// shared checkpointed machine).
+	// for this run.
 	MaxCycles uint64
 	// Backend selects the execution engine: BackendInterp (the
 	// reference interpreter), BackendXlat (threaded-code translation),
@@ -119,101 +109,170 @@ type Options struct {
 	Backend string
 }
 
-// OPECWith is OPECPrecompiled with Options. Unlike the plain entry
-// points it returns the partial Result alongside a run error, so
-// callers can inspect monitor stats and memory after a contained
-// fault.
-func OPECWith(inst *apps.Instance, b *core.Build, opts Options) (*Result, error) {
-	bus, err := newBus(inst)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := monitor.Boot(b, bus)
-	if err != nil {
-		return nil, err
-	}
-	mon.Policy = opts.Policy
-	mon.M.MaxCycles = inst.MaxCycles
-	if opts.MaxCycles > 0 {
-		mon.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(mon.M, opts.Backend); err != nil {
-		return nil, err
-	}
-	if opts.Trace != nil {
-		mon.AttachTrace(opts.Trace)
-	}
-	if opts.Arm != nil {
-		opts.Arm(mon.M)
-	}
-	res := &Result{Machine: mon.M, Read: reader(mon.M, inst), Mon: mon, Build: b}
-	err = mon.Run()
-	res.Cycles = mon.M.Clock.Now()
-	return res, finish(mon.M, err, "operation "+mon.Current().Name)
+// Context is a booted instance of one scheme, checkpointed before its
+// first instruction. Fork runs it from the checkpoint; a Context is
+// serial, one Fork at a time.
+type Context struct {
+	Inst *apps.Instance
+
+	rt      runtime
+	snap    *mach.Snapshot
+	restore func() // rewinds the runtime's own state
 }
 
-// ACESWith is ACESPrecompiled with Options (Policy does not apply: the
-// baseline runtime has no recovery). Like OPECWith it returns the
-// partial Result alongside a run error.
-func ACESWith(inst *apps.Instance, b *aces.Build, opts Options) (*Result, error) {
+// OPECContext and ACESContext are the names Context had when each
+// scheme had its own.
+type (
+	OPECContext = Context
+	ACESContext = Context
+)
+
+// BootOPEC boots a compiled OPEC build under the monitor on the MPU.
+func BootOPEC(inst *apps.Instance, b *core.Build) (*Context, error) {
+	return boot(inst, func(bus *mach.Bus) (runtime, error) {
+		mon, err := monitor.Boot(b, bus)
+		return opecRuntime{mon}, err
+	})
+}
+
+// BootOPECPMP is BootOPEC on the RISC-V PMP backend (the paper's
+// Section 7 portability target).
+func BootOPECPMP(inst *apps.Instance, b *core.Build) (*Context, error) {
+	return boot(inst, func(bus *mach.Bus) (runtime, error) {
+		mon, err := monitor.BootPMP(b, bus)
+		return opecRuntime{mon}, err
+	})
+}
+
+// BootACES boots a compiled ACES build under the ACES runtime.
+func BootACES(inst *apps.Instance, b *aces.Build) (*Context, error) {
+	return boot(inst, func(bus *mach.Bus) (runtime, error) {
+		rt, err := aces.Boot(b, bus)
+		return acesRuntime{rt}, err
+	})
+}
+
+// BootVanilla boots the instance as the unprotected baseline binary.
+func BootVanilla(inst *apps.Instance) (*Context, error) {
+	van, err := image.BuildVanilla(inst.Mod, inst.Board)
+	if err != nil {
+		return nil, err
+	}
+	return boot(inst, func(bus *mach.Bus) (runtime, error) {
+		return vanillaRuntime{van, van.Instantiate(bus)}, nil
+	})
+}
+
+// boot builds the instance's bus, boots a runtime on it with start and
+// checkpoints the machine and the runtime together.
+func boot(inst *apps.Instance, start func(*mach.Bus) (runtime, error)) (*Context, error) {
 	bus, err := newBus(inst)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := aces.Boot(b, bus)
+	rt, err := start(bus)
 	if err != nil {
 		return nil, err
 	}
-	rt.M.MaxCycles = inst.MaxCycles
-	if opts.MaxCycles > 0 {
-		rt.M.MaxCycles = opts.MaxCycles
-	}
-	if err := attachBackend(rt.M, opts.Backend); err != nil {
+	snap, err := rt.machine().Snapshot()
+	if err != nil {
 		return nil, err
 	}
+	return &Context{Inst: inst, rt: rt, snap: snap, restore: rt.checkpoint()}, nil
+}
+
+// SnapshotID identifies the checkpoint's machine state; together with
+// an injection spec it is a complete replay coordinate.
+func (c *Context) SnapshotID() string { return c.snap.ID() }
+
+// Reset rewinds machine and runtime to the checkpoint without running
+// anything (the fork-latency benchmark times exactly this).
+func (c *Context) Reset() error {
+	if err := c.rt.machine().Restore(c.snap); err != nil {
+		return err
+	}
+	c.restore()
+	return nil
+}
+
+// Fork restores the checkpoint and runs it once under opts. It returns
+// the partial Result alongside a run error, so callers can inspect
+// runtime stats and memory after a contained fault.
+func (c *Context) Fork(opts Options) (*Result, error) {
+	if err := c.Reset(); err != nil {
+		return nil, err
+	}
+	m := c.rt.machine()
+	m.MaxCycles = c.Inst.MaxCycles
+	if opts.MaxCycles > 0 {
+		m.MaxCycles = opts.MaxCycles
+	}
+	// Re-selecting the backend a machine already runs is a no-op, so
+	// the translation cache stays warm across forks (Restore rewinds
+	// only architected state; translations are content-addressed by
+	// function, privilege and certificate row, never stale).
+	if err := attachBackend(m, opts.Backend); err != nil {
+		return nil, err
+	}
+	c.rt.setPolicy(opts.Policy)
 	if opts.Trace != nil {
-		rt.AttachTrace(opts.Trace)
+		c.rt.AttachTrace(opts.Trace)
 	}
 	if opts.Arm != nil {
-		opts.Arm(rt.M)
+		opts.Arm(m)
 	}
-	res := &Result{Machine: rt.M, Read: reader(rt.M, inst), ACES: rt, ABld: b}
-	err = rt.Run()
-	res.Cycles = rt.M.Clock.Now()
-	return res, finish(rt.M, err, "compartment "+rt.Current().Name)
+	res := &Result{Machine: m, Read: reader(m, c.Inst)}
+	c.rt.result(res)
+	err := c.rt.Run()
+	res.Cycles = m.Clock.Now()
+	if err != nil {
+		// Name where the program was when it failed — the faulting
+		// operation or compartment — on top of the interpreter's
+		// ExecError, which names the faulting function and PC.
+		if where := c.rt.where(); where != "" {
+			err = fmt.Errorf("run: in %s: %w", where, err)
+		}
+		return res, err
+	}
+	if !m.Halted {
+		return res, fmt.Errorf("run: program returned without reaching its halt point")
+	}
+	return res, nil
+}
+
+// OPECWith runs a compiled OPEC build from power-on under opts.
+func OPECWith(inst *apps.Instance, b *core.Build, opts Options) (*Result, error) {
+	c, err := BootOPEC(inst, b)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fork(opts)
+}
+
+// ACESWith runs a compiled ACES build from power-on under opts (Policy
+// does not apply: the baseline runtime has no recovery).
+func ACESWith(inst *apps.Instance, b *aces.Build, opts Options) (*Result, error) {
+	c, err := BootACES(inst, b)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fork(opts)
+}
+
+// VanillaWith runs the instance as the unprotected baseline binary
+// under opts (Policy does not apply; Trace still records exceptions,
+// IRQs and calls even with the MPU off).
+func VanillaWith(inst *apps.Instance, opts Options) (*Result, error) {
+	c, err := BootVanilla(inst)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fork(opts)
 }
 
 // Vanilla runs the instance as the unprotected baseline binary.
 func Vanilla(inst *apps.Instance) (*Result, error) {
 	return VanillaWith(inst, Options{})
-}
-
-// VanillaWith is Vanilla with Options (Policy does not apply; Trace
-// still records exceptions, IRQs and calls even with the MPU off).
-func VanillaWith(inst *apps.Instance, opts Options) (*Result, error) {
-	van, err := image.BuildVanilla(inst.Mod, inst.Board)
-	if err != nil {
-		return nil, err
-	}
-	bus, err := newBus(inst)
-	if err != nil {
-		return nil, err
-	}
-	m := van.Instantiate(bus)
-	m.MaxCycles = inst.MaxCycles
-	if err := attachBackend(m, opts.Backend); err != nil {
-		return nil, err
-	}
-	if opts.Trace != nil {
-		m.AttachTrace(opts.Trace)
-	}
-	if opts.Arm != nil {
-		opts.Arm(m)
-	}
-	res := &Result{Machine: m, Read: reader(m, inst), Van: van}
-	_, err = m.Run(inst.Mod.MustFunc("main"))
-	res.Cycles = m.Clock.Now()
-	return res, finish(m, err, "")
 }
 
 // OPEC compiles the instance with OPEC-Compiler and runs it under
@@ -223,52 +282,20 @@ func OPEC(inst *apps.Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OPECPrecompiled(inst, b)
+	return OPECWith(inst, b, Options{})
 }
 
-// OPECPMP is OPEC on the RISC-V PMP backend (the paper's Section 7
-// portability target).
+// OPECPMP is OPEC on the RISC-V PMP backend.
 func OPECPMP(inst *apps.Instance) (*Result, error) {
 	b, err := core.Compile(inst.Mod, inst.Board, inst.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	bus, err := newBus(inst)
+	c, err := BootOPECPMP(inst, b)
 	if err != nil {
 		return nil, err
 	}
-	mon, err := monitor.BootPMP(b, bus)
-	if err != nil {
-		return nil, err
-	}
-	mon.M.MaxCycles = inst.MaxCycles
-	if err := attachBackend(mon.M, ""); err != nil {
-		return nil, err
-	}
-	if err := finish(mon.M, mon.Run(), "operation "+mon.Current().Name); err != nil {
-		return nil, err
-	}
-	return &Result{Cycles: mon.M.Clock.Now(), Machine: mon.M, Read: reader(mon.M, inst), Mon: mon, Build: b}, nil
-}
-
-// OPECPrecompiled runs an instance whose module was already compiled
-// with core.Compile (callers that inspect or modify the compiled module
-// — e.g. attack injection — before running).
-func OPECPrecompiled(inst *apps.Instance, b *core.Build) (*Result, error) {
-	res, err := OPECWith(inst, b, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ACESPrecompiled is OPECPrecompiled's ACES counterpart.
-func ACESPrecompiled(inst *apps.Instance, b *aces.Build) (*Result, error) {
-	res, err := ACESWith(inst, b, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.Fork(Options{})
 }
 
 // ACES compiles the instance with the baseline's strategy and runs it
@@ -278,7 +305,7 @@ func ACES(inst *apps.Instance, strat aces.Strategy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ACESPrecompiled(inst, b)
+	return ACESWith(inst, b, Options{})
 }
 
 // AndCheck runs the instance's correctness check against a result.

@@ -75,8 +75,8 @@ func TestReaderPanicsOnUnknownGlobal(t *testing.T) {
 }
 
 func TestPrecompiledMatchesStandardRun(t *testing.T) {
-	// OPECPrecompiled on an untouched build must behave exactly like
-	// the standard OPEC runner.
+	// OPECWith on an untouched, separately compiled build must behave
+	// exactly like the standard OPEC runner.
 	inst1 := apps.CoreMarkN(2).New()
 	r1, err := run.OPEC(inst1)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestPrecompiledMatchesStandardRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := run.OPECPrecompiled(inst2, b2)
+	r2, err := run.OPECWith(inst2, b2, run.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFaultErrorNamesOperationAndPC(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpStore, Typ: ir.I8, Args: []ir.Value{key, ir.CI(0xEE)}}
 	lt.Entry().Instrs = append([]*ir.Instr{in}, lt.Entry().Instrs...)
 
-	_, err = run.OPECPrecompiled(inst, b)
+	_, err = run.OPECWith(inst, b, run.Options{})
 	if err == nil {
 		t.Fatal("attack unexpectedly survived")
 	}
@@ -169,5 +169,17 @@ func TestOPECWithReturnsPartialResultAndPolicy(t *testing.T) {
 	}
 	if res.Mon.Stats.Switches == 0 {
 		t.Error("partial result has empty stats")
+	}
+}
+
+// Options.MaxCycles bounds every scheme's run, the vanilla baseline's
+// included.
+func TestVanillaWithHonoursMaxCycles(t *testing.T) {
+	res, err := run.VanillaWith(apps.PinLockN(5).New(), run.Options{MaxCycles: 1000})
+	if !errors.Is(err, mach.ErrCycleLimit) {
+		t.Fatalf("run under a 1000-cycle budget returned %v, want the cycle limit", err)
+	}
+	if res == nil {
+		t.Error("no partial result for the stopped run")
 	}
 }

@@ -380,7 +380,7 @@ func PinLockCaseStudy() (*CaseStudyResult, error) {
 		return nil, err
 	}
 	injectKeyOverwrite(inst.Mod)
-	if _, err = run.OPECPrecompiled(inst, b); err == nil {
+	if _, err = run.OPECWith(inst, b, run.Options{}); err == nil {
 		return nil, errors.New("opec: attack unexpectedly survived under OPEC")
 	}
 	var f *mach.Fault
@@ -398,7 +398,7 @@ func PinLockCaseStudy() (*CaseStudyResult, error) {
 		return nil, err
 	}
 	injectKeyOverwrite(instA.Mod)
-	resA, err := run.ACESPrecompiled(instA, ab)
+	resA, err := run.ACESWith(instA, ab, run.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("opec: ACES run with attack: %w", err)
 	}
