@@ -33,7 +33,7 @@
 // checkpoint's id must match the coordinate, and the single trial runs
 // forked from it:
 //
-//	opec-run -app PinLock -mode opec -replay '26a2a02199ee8ebb@store:Lock_Task:1:KEY:0:-1:0xee'
+//	opec-run -app PinLock -mode opec -replay '5c308dae1b9478bf@store:Lock_Task:1:KEY:0:-1:0xee'
 package main
 
 import (
@@ -138,10 +138,7 @@ func main() {
 	case "opec":
 		res, err = opec.RunOPECWith(inst, mustCompileOPEC(inst), opts)
 	case "opec-pmp":
-		if buf != nil {
-			fail(fmt.Errorf("mode opec-pmp does not support -trace/-profile"))
-		}
-		res, err = opec.RunOPECPMP(inst)
+		res, err = opec.RunOPECPMPWith(inst, mustCompileOPEC(inst), opts)
 	case "aces1":
 		res, err = opec.RunACESWith(inst, mustCompileACES(inst, opec.ACES1), opts)
 	case "aces2":

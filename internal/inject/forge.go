@@ -34,8 +34,8 @@ type Forge struct {
 	App *apps.App
 
 	// Backend selects the execution backend for every forked trial
-	// ("interp", "xlat", or "" for run.DefaultBackend as it reads when
-	// the trial forks). Set it before the first Run; trials are
+	// ("interp", "xlat", or "" for run.DefaultBackend as it read when
+	// the forge booted). Set it before the first Run; trials are
 	// byte-identical either way, which is exactly what the fuzzing
 	// campaigns' cross-backend identity test asserts.
 	Backend string

@@ -124,8 +124,8 @@ func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s forge: %v", backend, err)
 		}
-		// Trials read the process default when they fork, so each forge
-		// pins its own backend.
+		// A forge forks on the default it booted under; pinning the
+		// backend as well keeps the comparison independent of that.
 		f.Backend = backend
 		return f
 	}

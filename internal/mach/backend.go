@@ -23,10 +23,6 @@ type Backend interface {
 	Name() string
 	// Exec executes the activation described by e.
 	Exec(e *Env) (uint32, error)
-	// Fork returns a backend for a Machine.Fork clone. Translation
-	// caches hold per-machine state (resolved code addresses), so a
-	// fork must not share them with the parent.
-	Fork() Backend
 }
 
 // SetBackend installs an execution backend; nil selects the

@@ -105,6 +105,11 @@ type IRQSource interface {
 
 // Clock is the shared cycle counter (the DWT CYCCNT source).
 type Clock struct {
+	clockState
+}
+
+// clockState is what a checkpoint restores of the clock.
+type clockState struct {
 	cycles uint64
 }
 
@@ -123,6 +128,9 @@ type Protection interface {
 // Bus routes accesses by address to Flash, SRAM, peripherals and the
 // PPB, enforcing privilege and protection-unit rules on the way.
 type Bus struct {
+	// busState is what a checkpoint restores of the bus.
+	busState
+
 	MPU   *MPU
 	Clock *Clock
 
@@ -141,16 +149,11 @@ type Bus struct {
 	// block thousands of times in a row; caching the last resolved
 	// device (with its bounds denormalized to plain words) skips the
 	// binary search. noDevCache pins the slow path for the
-	// cache-transparency comparison; devCacheHits feeds the counter
-	// registry.
-	lastDev      Device
-	lastBase     uint32
-	lastEnd      uint32
-	noDevCache   bool
-	devCacheHits uint64
-
-	// dwtEnabled gates the cycle counter register.
-	dwtEnabled bool
+	// cache-transparency comparison.
+	lastDev    Device
+	lastBase   uint32
+	lastEnd    uint32
+	noDevCache bool
 
 	// rawWatch, when non-nil, observes raw (check-bypassing) writes —
 	// the watch seam's hardware-level half (watch.go).
@@ -163,6 +166,20 @@ type Bus struct {
 	// (fastforward.go).
 	writes   uint64
 	horizons *horizonLog
+}
+
+// busRegs is the bus's architected state, the part of busState a
+// state digest covers.
+type busRegs struct {
+	// dwtEnabled gates the cycle counter register.
+	dwtEnabled bool
+}
+
+// busState is the bus's share of a checkpoint: its registers and the
+// last-device cache's hit counter, which feeds the counter registry.
+type busState struct {
+	busRegs
+	devCacheHits uint64
 }
 
 // NewBus creates a bus with the given Flash and SRAM sizes.
@@ -181,11 +198,15 @@ func NewBus(flashSize, sramSize int, clk *Clock) *Bus {
 }
 
 // Counters implements trace.CounterSource for the bus and its
-// protection unit.
+// protection units: the MPU's always, and the PMP's entry writes when
+// a PMP is the active unit.
 func (b *Bus) Counters() []trace.Counter {
 	cs := []trace.Counter{{Name: "mach.bus.dev_cache_hits", Value: b.devCacheHits}}
 	if b.MPU != nil {
 		cs = append(cs, b.MPU.Counters()...)
+	}
+	if p, ok := b.Prot.(*PMP); ok {
+		cs = append(cs, trace.Counter{Name: "mach.pmp.reconfigs", Value: p.reconfigs})
 	}
 	return cs
 }

@@ -84,13 +84,9 @@ type Machine struct {
 	Clock    *Clock
 	Handlers Handlers
 
-	// Privileged is the current execution level.
-	Privileged bool
-
-	// SP is the stack pointer; StackTop/StackLimit bound the stack.
-	SP         uint32
-	StackTop   uint32
-	StackLimit uint32
+	// cpuState is what a checkpoint restores of the CPU; its fields
+	// are promoted (m.SP, m.InstrCount, ...).
+	cpuState
 
 	// GlobalAddr resolves a global operand to its address. OPEC images
 	// route external globals through the variables relocation table
@@ -110,8 +106,7 @@ type Machine struct {
 	// MaxCycles guards against runaway programs in tests.
 	MaxCycles uint64
 
-	irqs  []irqBinding
-	inIRQ bool
+	irqs []irqBinding
 
 	// inj is the armed fault injection, if any (see Arm).
 	inj *Injection
@@ -123,9 +118,6 @@ type Machine struct {
 	// frames is the activation-record pool, indexed by call depth, so
 	// steady-state execution allocates nothing per call.
 	frames []*frame
-
-	// Halted is set when the program executed an OpHalt.
-	Halted bool
 
 	// Trace is the event bus. Nil (the default) disables tracing: every
 	// emission site is guarded by a nil check, so the untraced hot path
@@ -151,18 +143,43 @@ type Machine struct {
 	// store hot path at one pointer compare, mirroring Trace.
 	watch func(WatchedStore)
 
-	// Stats.
-	InstrCount   uint64
-	SwitchCount  uint64 // operation/compartment switches observed
-	frameReuse   uint64 // pooled-frame register reuses (vs. fresh allocations)
-	proofElided  uint64 // accesses satisfied by a static certificate
-	proofChecked uint64 // accesses dynamically adjudicated
-	depth        int
-
 	// exceptions counts exception entries (faults, SVCs, IRQs); ff is
 	// the busy-wait fast-forward state (fastforward.go).
 	exceptions uint64
 	ff         ffState
+}
+
+// cpuRegs is the CPU's architected state, the part of cpuState a
+// state digest covers (stateframe.go).
+type cpuRegs struct {
+	// Privileged is the current execution level.
+	Privileged bool
+
+	// SP is the stack pointer; StackTop/StackLimit bound the stack.
+	SP         uint32
+	StackTop   uint32
+	StackLimit uint32
+
+	// Halted is set when the program executed an OpHalt.
+	Halted bool
+
+	// InstrCount is the number of instructions executed.
+	InstrCount uint64
+}
+
+// cpuState is the CPU's share of a checkpoint: its registers, its
+// statistics counters, and the host call depth and IRQ flag, which are
+// zero at every checkpoint because Snapshot refuses otherwise.
+type cpuState struct {
+	cpuRegs
+
+	SwitchCount  uint64 // operation/compartment switches observed
+	frameReuse   uint64 // pooled-frame register reuses (vs. fresh allocations)
+	proofElided  uint64 // accesses satisfied by a static certificate
+	proofChecked uint64 // accesses dynamically adjudicated
+
+	depth int
+	inIRQ bool
 }
 
 // funcMeta is the per-function execution metadata computed once in

@@ -138,9 +138,15 @@ func (l *horizonLog) minSince(s uint64) uint64 {
 }
 
 // ffState is the machine-wide half of the fast-forward state; the
-// per-loop witness lives in the pooled frame.
+// per-loop witness lives in the pooled frame. The device-read log is
+// derived and dropped by Restore; the counters are checkpointed.
 type ffState struct {
-	log      horizonLog
+	ffCounts
+	log horizonLog
+}
+
+// ffCounts is what a checkpoint restores of the fast-forward.
+type ffCounts struct {
 	episodes uint64 // skips taken
 	skipped  uint64 // instructions skipped
 }
@@ -313,10 +319,4 @@ func (m *Machine) ffSkip(w *loopWitness) {
 	for i, p := range m.ffCounted() {
 		*p += k * (*p - w.at[i])
 	}
-}
-
-// resetFF drops the device-read log (Restore and Fork).
-func (m *Machine) resetFF() {
-	m.ff.log = horizonLog{}
-	m.Bus.horizons = nil
 }

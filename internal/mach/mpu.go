@@ -142,32 +142,47 @@ const NumRegions = 8
 // matching region, privileged access uses the default memory map
 // (PRIVDEFENA=1) and unprivileged access faults.
 type MPU struct {
-	Enabled bool
-	Regions [NumRegions]Region
+	// mpuState is what a checkpoint restores of the MPU; its fields
+	// are promoted (m.Enabled, m.Regions, ...).
+	mpuState
 
 	// NoCache disables the micro-TLB, forcing every access through the
 	// architectural matching loop (the cache-transparency baseline).
 	NoCache bool
-
-	// reconfigs counts region register writes, an observability metric
-	// for the ablation benchmarks.
-	reconfigs uint64
 
 	// Trace, when non-nil, receives region-program, enable and
 	// TLB-invalidation events; Clock stamps them (NewBus wires it).
 	Trace *trace.Buffer
 	Clock *Clock
 
-	// Micro-TLB state (tlb.go): gen invalidates, lastEnabled detects
-	// direct Enabled toggles lazily. The hit/miss/invalidation counters
-	// feed the counter registry; with the cache disabled every access
-	// takes the architectural scan, so hits stay at zero.
+	// tlb holds the micro-TLB entries (tlb.go).
+	tlb [tlbSize]tlbEntry
+}
+
+// mpuRegs is the MPU's register file, the part of mpuState a state
+// digest covers.
+type mpuRegs struct {
+	Enabled bool
+	Regions [NumRegions]Region
+}
+
+// mpuState is the MPU's share of a checkpoint: its registers, the
+// region-write count (an observability metric for the ablation
+// benchmarks) and the micro-TLB's bookkeeping. gen invalidates entries
+// and lastEnabled detects direct Enabled toggles lazily (tlb.go); the
+// hit/miss/invalidation counters feed the counter registry, and with
+// the cache disabled every access takes the architectural scan, so
+// hits stay at zero. The generation is checkpointed because it leaks
+// into the trace stream (tlb-inval gen=N): a replay from a snapshot
+// must resume it where the recorded run did.
+type mpuState struct {
+	mpuRegs
+	reconfigs   uint64
 	gen         uint64
 	lastEnabled bool
 	tlbHits     uint64
 	tlbMisses   uint64
 	tlbInvals   uint64
-	tlb         [tlbSize]tlbEntry
 }
 
 // now returns the current cycle for event stamping (0 for detached

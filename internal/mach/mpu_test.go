@@ -51,6 +51,14 @@ func TestRegionValidate(t *testing.T) {
 	}
 }
 
+// enabledMPU returns a detached MPU whose enable bit was set by a
+// direct register write.
+func enabledMPU() *MPU {
+	m := &MPU{}
+	m.Enabled = true
+	return m
+}
+
 func TestMPUDisabledAllowsAll(t *testing.T) {
 	m := &MPU{}
 	if !m.Allows(0x20000000, true, false) {
@@ -59,7 +67,7 @@ func TestMPUDisabledAllowsAll(t *testing.T) {
 }
 
 func TestMPUBackgroundMap(t *testing.T) {
-	m := &MPU{Enabled: true}
+	m := enabledMPU()
 	if !m.Allows(0x20000000, true, true) {
 		t.Error("privileged access should use background map when no region matches")
 	}
@@ -69,7 +77,7 @@ func TestMPUBackgroundMap(t *testing.T) {
 }
 
 func TestMPUHighestRegionWins(t *testing.T) {
-	m := &MPU{Enabled: true}
+	m := enabledMPU()
 	// Region 0: whole SRAM read-only.
 	m.MustSetRegion(0, Region{Enabled: true, Base: 0x20000000, SizeLog2: 18, Perm: APRO})
 	// Region 3: a 1 KB window read-write.
@@ -90,7 +98,7 @@ func TestMPUHighestRegionWins(t *testing.T) {
 }
 
 func TestMPUSubregionFallthrough(t *testing.T) {
-	m := &MPU{Enabled: true}
+	m := enabledMPU()
 	// Region 1: 2 KB unpriv-RO over the area.
 	m.MustSetRegion(1, Region{Enabled: true, Base: 0x20000000, SizeLog2: 11, Perm: APRO})
 	// Region 5: same 2 KB RW, but sub-region 7 (last 256 B) disabled.
@@ -112,7 +120,7 @@ func TestMPUSubregionFallthrough(t *testing.T) {
 }
 
 func TestMPUSmallRegionIgnoresSRD(t *testing.T) {
-	m := &MPU{Enabled: true}
+	m := enabledMPU()
 	m.MustSetRegion(0, Region{Enabled: true, Base: 0x20000000, SizeLog2: 6, Perm: APRW, SRD: 0xFF})
 	if !m.Allows(0x20000020, true, false) {
 		t.Error("regions < 256 B ignore SRD per PMSAv7")

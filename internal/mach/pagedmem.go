@@ -46,7 +46,7 @@ func newPagedMem(size int) *pagedMem {
 }
 
 // writablePage returns page pi with write ownership, copying it first
-// if it is currently shared with a snapshot or fork.
+// if it is currently shared with a snapshot.
 func (pm *pagedMem) writablePage(pi uint32) []byte {
 	if !pm.owned[pi] {
 		cp := make([]byte, pageSize)
@@ -139,20 +139,4 @@ func (pm *pagedMem) restorePages(snap [][]byte) int {
 		}
 	}
 	return dirty
-}
-
-// fork returns an independent memory sharing every page
-// copy-on-write with this one. Both sides lose in-place write
-// ownership, so either's next store to a page diverges privately.
-func (pm *pagedMem) fork() *pagedMem {
-	for i := range pm.owned {
-		pm.owned[i] = false
-	}
-	np := &pagedMem{
-		size:  pm.size,
-		pages: make([][]byte, len(pm.pages)),
-		owned: make([]bool, len(pm.pages)),
-	}
-	copy(np.pages, pm.pages)
-	return np
 }

@@ -74,9 +74,23 @@ const NumPMPEntries = 16
 // PMP is the protection unit. It implements mach.Protection, so a Bus
 // can enforce it in place of the MPU.
 type PMP struct {
+	// pmpState is what a checkpoint restores of the PMP; its fields
+	// are promoted (p.Enabled, p.Entries).
+	pmpState
+}
+
+// pmpRegs is the PMP's register file, the part of pmpState a state
+// digest covers.
+type pmpRegs struct {
 	Enabled bool
 	Entries [NumPMPEntries]PMPEntry
+}
 
+// pmpState is the PMP's share of a checkpoint: its registers and the
+// entry-write count, reported as mach.pmp.reconfigs and read by the
+// fast-forward as the unit's configuration epoch.
+type pmpState struct {
+	pmpRegs
 	reconfigs uint64
 }
 

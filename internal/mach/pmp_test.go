@@ -24,8 +24,15 @@ func TestPMPEntryValidate(t *testing.T) {
 	}
 }
 
+// enabledPMP returns a detached, enabled PMP with no entries.
+func enabledPMP() *PMP {
+	p := &PMP{}
+	p.Enabled = true
+	return p
+}
+
 func TestPMPLowestEntryWins(t *testing.T) {
-	p := &PMP{Enabled: true}
+	p := enabledPMP()
 	// Entry 0: a 1 KB RW window; entry 5: the same range read-only.
 	p.MustSetEntry(0, PMPEntry{Mode: PMPNAPOT, Perm: PMPR | PMPW, Addr: 0x20000000, SizeLog2: 10})
 	p.MustSetEntry(5, PMPEntry{Mode: PMPNAPOT, Perm: PMPR, Addr: 0x20000000, SizeLog2: 12})
@@ -46,7 +53,7 @@ func TestPMPLowestEntryWins(t *testing.T) {
 }
 
 func TestPMPTOR(t *testing.T) {
-	p := &PMP{Enabled: true}
+	p := enabledPMP()
 	// TOR pair: [0x20001000, 0x20003000) RW.
 	p.MustSetEntry(1, PMPEntry{Mode: PMPOff, Addr: 0x20001000})
 	p.MustSetEntry(2, PMPEntry{Mode: PMPTOR, Perm: PMPR | PMPW, Addr: 0x20003000})
@@ -58,7 +65,7 @@ func TestPMPTOR(t *testing.T) {
 		t.Error("outside TOR range should be denied (no other entry)")
 	}
 	// Entry 0's TOR base is address 0.
-	p2 := &PMP{Enabled: true}
+	p2 := enabledPMP()
 	p2.MustSetEntry(0, PMPEntry{Mode: PMPTOR, Perm: PMPR, Addr: 0x1000})
 	if !p2.Allows(0x500, false, false) {
 		t.Error("entry 0 TOR should base at 0")
@@ -66,7 +73,7 @@ func TestPMPTOR(t *testing.T) {
 }
 
 func TestPMPDefaults(t *testing.T) {
-	p := &PMP{Enabled: true}
+	p := enabledPMP()
 	if p.Allows(0x20000000, false, false) {
 		t.Error("U-mode access with no match must be denied")
 	}
@@ -86,7 +93,7 @@ func TestPMPMachinePrivBypass(t *testing.T) {
 	// Privileged accesses bypass PMP even where an entry says RO —
 	// unlike the MPU's APRO. This is the spec difference the monitor
 	// relies on.
-	p := &PMP{Enabled: true}
+	p := enabledPMP()
 	p.MustSetEntry(0, PMPEntry{Mode: PMPNAPOT, Perm: PMPR, Addr: 0, SizeLog2: 32})
 	if !p.Allows(0x20000000, true, true) {
 		t.Error("privileged write blocked by unlocked RO entry")
@@ -113,7 +120,7 @@ func TestPMPNAPOTContainmentProperty(t *testing.T) {
 	f := func(off uint32, szSel uint8) bool {
 		sz := uint8(5 + szSel%10)
 		base := uint32(0x20000000) &^ (1<<sz - 1)
-		p := &PMP{Enabled: true}
+		p := enabledPMP()
 		p.MustSetEntry(0, PMPEntry{Mode: PMPNAPOT, Perm: PMPR | PMPW, Addr: base, SizeLog2: sz})
 		addr := base + off%(1<<sz)
 		return p.Allows(addr, true, false) && !p.Allows(base+(1<<sz), true, false)
@@ -128,7 +135,7 @@ func TestPMPNAPOTContainmentProperty(t *testing.T) {
 func TestPMPOnBus(t *testing.T) {
 	clk := &Clock{}
 	bus := NewBus(1<<20, 64<<10, clk)
-	pmp := &PMP{Enabled: true}
+	pmp := enabledPMP()
 	pmp.MustSetEntry(0, PMPEntry{Mode: PMPNAPOT, Perm: PMPR | PMPW, Addr: SRAMBase, SizeLog2: 10})
 	bus.Prot = pmp
 

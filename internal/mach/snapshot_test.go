@@ -25,8 +25,8 @@ func sumModule() *ir.Module {
 }
 
 // TestPagedMemCOW covers the copy-on-write page layer: snapshot shares
-// pages, writes diverge privately, restore rewinds only dirty pages,
-// and forks diverge from each other and the parent.
+// pages, writes diverge privately, and restore rewinds only dirty
+// pages.
 func TestPagedMemCOW(t *testing.T) {
 	pm := newPagedMem(3 * pageSize)
 	pm.writeLE(0x10, 4, 0xAABBCCDD)
@@ -53,17 +53,6 @@ func TestPagedMemCOW(t *testing.T) {
 	}
 	if got := pm.readLE(pageSize-2, 4); got != 0x11223344 {
 		t.Errorf("restore clobbered pre-snapshot data: %#x", got)
-	}
-
-	f1 := pm.fork()
-	f2 := pm.fork()
-	f1.writeLE(0x20, 4, 1)
-	f2.writeLE(0x20, 4, 2)
-	if got := pm.readLE(0x20, 4); got != 0 {
-		t.Errorf("fork write leaked into parent: %#x", got)
-	}
-	if a, b := f1.readLE(0x20, 4), f2.readLE(0x20, 4); a != 1 || b != 2 {
-		t.Errorf("fork divergence wrong: f1=%#x f2=%#x", a, b)
 	}
 }
 
@@ -105,68 +94,6 @@ func TestRestoreInvalidatesWarmTLB(t *testing.T) {
 	_, cf := cold.Bus.Load(addr, 4, false)
 	if (cf == nil) != (f == nil) || (cf != nil && f != nil && cf.Kind != f.Kind) {
 		t.Errorf("restored machine (%v) disagrees with cold machine (%v)", f, cf)
-	}
-}
-
-// TestForkIndependence is the aliasing regression: two forks of one
-// machine must not share mutable state — memory pages, the MPU plan,
-// or the late-function metadata registry that a shallow copy would
-// alias by pointer.
-func TestForkIndependence(t *testing.T) {
-	parent := testMachine(t, sumModule())
-	a := parent.Fork()
-	b := parent.Fork()
-
-	// Memory diverges copy-on-write.
-	addr := SRAMBase + 0x100
-	if f := a.Bus.RawStore(addr, 4, 0xA); f != nil {
-		t.Fatal(f)
-	}
-	if f := b.Bus.RawStore(addr, 4, 0xB); f != nil {
-		t.Fatal(f)
-	}
-	pv, _ := parent.Bus.RawLoad(addr, 4)
-	av, _ := a.Bus.RawLoad(addr, 4)
-	bv, _ := b.Bus.RawLoad(addr, 4)
-	if pv != 0 || av != 0xA || bv != 0xB {
-		t.Errorf("memory aliased across forks: parent=%#x a=%#x b=%#x", pv, av, bv)
-	}
-
-	// MPU plans diverge.
-	a.Bus.MPU.MustSetRegion(0, Region{Enabled: true, Base: SRAMBase, SizeLog2: 10, Perm: APRW})
-	if b.Bus.MPU.Regions[0].Enabled || parent.Bus.MPU.Regions[0].Enabled {
-		t.Error("MPU region write on one fork visible on its siblings")
-	}
-
-	// Late-function metadata registries diverge: registering a function
-	// on fork A must not appear in fork B's or the parent's registry.
-	other := ir.NewModule("late")
-	fb := ir.NewFunc(other, "late_fn", "late.c", ir.I32)
-	fb.Ret(ir.CI(7))
-	late := other.Func("late_fn")
-	if err := ir.Verify(other); err != nil {
-		t.Fatal(err)
-	}
-	a.metaFor(late)
-	if a.lateMeta[late] == nil {
-		t.Fatal("metaFor did not register the late function on fork a")
-	}
-	if b.lateMeta[late] != nil || parent.lateMeta[late] != nil {
-		t.Error("lateMeta aliased: fork a's late registration visible elsewhere")
-	}
-
-	// Certificate tables diverge (metaByIdx rows are per-fork).
-	certs := make([][]byte, len(parent.metaByIdx))
-	certs[0] = []byte{CertLoad}
-	a.InstallProofs(certs)
-	if parent.metaByIdx[0].certs != nil || b.metaByIdx[0].certs != nil {
-		t.Error("metaByIdx aliased: fork a's certificates visible elsewhere")
-	}
-
-	// funcAt is shared by design — immutable after NewMachine — so both
-	// forks resolve the same code addresses.
-	if len(a.funcAt) != len(parent.funcAt) {
-		t.Error("funcAt diverged; it should be the shared immutable table")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // captured state.
 //
 // Capture hashes nothing: it freezes the copy-on-write page sets (page
-// count pointer copies), formats the CPU/MPU/PMP header and copies each
+// count pointer copies), copies the components' state structs and each
 // Stateful device's SaveState bytes. Until its digest is read, holding
 // a frame pins every page the live run has dirtied since capture plus
 // those device copies; the first Digest call hashes the image and drops
@@ -39,11 +39,19 @@ type StateFrame struct {
 	digest string
 }
 
-// stateImage is the byte stream a state digest covers, kept unhashed:
-// the serialized CPU/protection-unit header, the Flash and SRAM page
-// sets, and one record per device.
+// stateImage is one capture of the machine's state: every component's
+// state struct by value, the Flash and SRAM page sets, and one record
+// per attached device. A snapshot restores from it and a digest hashes
+// its architected part.
 type stateImage struct {
-	header      []byte
+	cpu    cpuState
+	ff     ffCounts
+	clock  clockState
+	bus    busState
+	mpu    mpuState
+	pmp    pmpState
+	hasPMP bool // the bus protection unit is a PMP
+
 	flash, sram [][]byte
 	devs        []devState
 }
@@ -53,12 +61,8 @@ type stateImage struct {
 // freeze affects copy-on-write ownership, never contents or cycles).
 // Its Digest equals StateDigest read at the same point.
 func (m *Machine) CaptureState() *StateFrame {
-	return &StateFrame{
-		Cycle:      m.Clock.Now(),
-		SP:         m.SP,
-		Privileged: m.Privileged,
-		img:        m.image(m.Bus.flash.snapshotPages(), m.Bus.sram.snapshotPages()),
-	}
+	img := m.image(m.Bus.flash.snapshotPages(), m.Bus.sram.snapshotPages())
+	return &StateFrame{Cycle: m.Clock.Now(), SP: m.SP, Privileged: m.Privileged, img: &img}
 }
 
 // Digest returns the frame's content hash (see StateDigest). The first
@@ -81,39 +85,52 @@ func (f *StateFrame) Digest() string {
 // every page the live run has dirtied since capture.
 func (f *StateFrame) Release() { f.img = nil }
 
-// StateDigest hashes the machine's live architected state — CPU
-// scalars, cycle clock, protection unit, memory contents, stateful
-// devices — without capturing anything. Two deterministic runs of the
-// same program digest identically at the same event-stream position;
-// the debugger's seek verification is exactly that comparison.
+// StateDigest hashes the machine's live state image without capturing
+// anything. Two deterministic runs of the same program digest
+// identically at the same event-stream position — the debugger's seek
+// verification is exactly that comparison — and a machine just
+// restored to a snapshot digests to the snapshot's ID.
 func (m *Machine) StateDigest() string {
-	return m.image(m.Bus.flash.pages, m.Bus.sram.pages).digest()
+	img := m.image(m.Bus.flash.pages, m.Bus.sram.pages)
+	return img.digest()
 }
 
-// image gathers the state image StateDigest hashes over the given page
-// sets: frozen ones for a frame, the live ones for an immediate digest.
-func (m *Machine) image(flash, sram [][]byte) *stateImage {
+// image captures the machine's state over the given page sets: frozen
+// ones for a snapshot or frame, the live ones for an immediate digest.
+func (m *Machine) image(flash, sram [][]byte) stateImage {
 	b := m.Bus
-	img := &stateImage{flash: flash, sram: sram}
-	img.header = fmt.Appendf(nil, "cpu %v %v %v %v %v %v %v\n",
-		b.Clock.Now(), m.SP, m.StackTop, m.StackLimit, m.Privileged, m.Halted, m.InstrCount)
-	img.header = fmt.Appendf(img.header, "mpu %v %v\n", b.MPU.Enabled, b.MPU.Regions)
-	if p, ok := b.Prot.(*PMP); ok {
-		img.header = fmt.Appendf(img.header, "pmp %v %v\n", p.Enabled, p.Entries)
+	img := stateImage{
+		cpu: m.cpuState, ff: m.ff.ffCounts, clock: m.Clock.clockState,
+		bus: b.busState, mpu: b.MPU.mpuState,
+		flash: flash, sram: sram,
+		devs: make([]devState, len(b.devices)),
 	}
-	for _, d := range b.devices {
+	if p, ok := b.Prot.(*PMP); ok {
+		img.pmp, img.hasPMP = p.pmpState, true
+	}
+	for i, d := range b.devices {
+		img.devs[i] = devState{name: d.Name(), base: d.Base()}
 		if sd, ok := d.(Stateful); ok {
-			img.devs = append(img.devs, devState{name: d.Name(), base: d.Base(), data: sd.SaveState()})
+			img.devs[i].data = sd.SaveState()
 		}
 	}
 	return img
 }
 
-// digest hashes the image: the header, both page sets, then each
-// device's name, base and state bytes.
+// digest hashes the image's architected part: the CPU registers (the
+// instruction count among them), the clock, the DWT enable, the MPU
+// and PMP registers, both page sets and every device record. It leaves
+// out the statistics and cache counters and the micro-TLB generation,
+// which caches, skipped poll iterations and the execution engine move
+// without changing what the machine computes, and the certificate
+// rows, which only select the elided access path (a snapshot keeps
+// them beside its image).
 func (img *stateImage) digest() string {
 	h := sha256.New()
-	h.Write(img.header)
+	fmt.Fprintf(h, "cpu %v\nclock %v\nbus %v\nmpu %v\n", img.cpu.cpuRegs, img.clock, img.bus.busRegs, img.mpu.mpuRegs)
+	if img.hasPMP {
+		fmt.Fprintf(h, "pmp %v\n", img.pmp.pmpRegs)
+	}
 	hashPages(h, "flash", img.flash)
 	hashPages(h, "sram", img.sram)
 	for _, d := range img.devs {

@@ -19,8 +19,8 @@ package mach
 //     there is no PC, the write did not come from executing code.
 //
 // Both hooks follow the trace buffer's discipline: nil (the default)
-// keeps the hot path at a single pointer compare, Restore and Fork
-// clear them, and observing is transparent — no clock advance, no
+// keeps the hot path at a single pointer compare, Restore clears
+// them, and observing is transparent — no clock advance, no
 // architected effect.
 
 // WatchedStore describes one attempted data store as the watch seam saw

@@ -17,7 +17,8 @@ const (
 	BackendXlat = "xlat"
 )
 
-// DefaultBackend is the backend used when Options.Backend is empty,
+// DefaultBackend is the backend a Context forks on when
+// Options.Backend is empty, read once when the Context boots and
 // initialised from OPEC_MACH_BACKEND. Empty selects the interpreter.
 var DefaultBackend = os.Getenv("OPEC_MACH_BACKEND")
 
@@ -32,14 +33,11 @@ func SetDefaultBackend(name string) error {
 	return fmt.Errorf("run: unknown execution backend %q (want %s | %s)", name, BackendInterp, BackendXlat)
 }
 
-// attachBackend installs the selected execution backend on a booted
-// machine. An empty name defers to DefaultBackend. Re-selecting the
+// attachBackend installs the named execution backend on a booted
+// machine; an empty name selects the interpreter. Re-selecting the
 // backend a machine already runs is a no-op, so boot-once/fork-many
 // contexts keep their warm translation cache across trials.
 func attachBackend(m *mach.Machine, name string) error {
-	if name == "" {
-		name = DefaultBackend
-	}
 	switch name {
 	case "", BackendInterp:
 		m.SetBackend(nil)

@@ -14,6 +14,13 @@ import (
 	"opec/internal/trace"
 )
 
+// quickApps are four workloads at the evaluation harness's quick
+// scale, and schemes every scheme a Context boots.
+var (
+	quickApps = []*apps.App{apps.PinLockN(5), apps.AnimationN(3), apps.TCPEchoN(3, 9), apps.CoreMarkN(3)}
+	schemes   = []string{"vanilla", "opec", "opec-pmp", "aces1", "aces2", "aces3"}
+)
+
 // bootScheme compiles a fresh instance of app for scheme and boots it.
 func bootScheme(t *testing.T, app *apps.App, scheme string) *run.Context {
 	t.Helper()
@@ -113,17 +120,16 @@ func (o forkObs) diff(ref forkObs) string {
 // next clean fork must equal a fresh boot's first in outcome, cycles,
 // final state and every machine, monitor and ACES counter.
 func TestForkAfterDirtyForkMatchesBoot(t *testing.T) {
-	// Four workloads at the evaluation harness's quick scale.
-	quick := []*apps.App{apps.PinLockN(5), apps.AnimationN(3), apps.TCPEchoN(3, 9), apps.CoreMarkN(3)}
-	for _, app := range quick {
-		for _, scheme := range []string{"vanilla", "opec", "opec-pmp", "aces1", "aces2", "aces3"} {
+	for _, app := range quickApps {
+		for _, scheme := range schemes {
 			want := observeFork(bootScheme(t, app, scheme))
 
 			c := bootScheme(t, app, scheme)
 			main := c.Inst.Mod.MustFunc("main")
+			buf := trace.NewBuffer(256)
 			if _, err := c.Fork(run.Options{
 				MaxCycles: 5000,
-				Trace:     trace.NewBuffer(256),
+				Trace:     buf,
 				Arm: func(m *mach.Machine) {
 					m.Arm(&mach.Injection{Func: main, N: 1, Fire: func(m *mach.Machine) error {
 						m.SP = m.StackLimit + 16
@@ -133,9 +139,52 @@ func TestForkAfterDirtyForkMatchesBoot(t *testing.T) {
 			}); err == nil {
 				t.Errorf("%s/%s: the dirty fork ran clean", app.Name, scheme)
 			}
+			if buf.Emitted() == 0 {
+				t.Errorf("%s/%s: the dirty fork recorded no events", app.Name, scheme)
+			}
 			if d := observeFork(c).diff(want); d != "" {
 				t.Errorf("%s/%s: fork after a dirty fork: %s", app.Name, scheme, d)
 			}
 		}
+	}
+}
+
+// TestSnapshotIDIsRestoredStateDigest: a snapshot id is the digest of
+// the state it restores, so a fork's machine, read before its first
+// instruction, digests to its Context's snapshot id.
+func TestSnapshotIDIsRestoredStateDigest(t *testing.T) {
+	for _, app := range quickApps {
+		for _, scheme := range schemes {
+			c := bootScheme(t, app, scheme)
+			var digest string
+			// Boot spent more than one cycle, so the fork stops at its
+			// first block; only the Arm hook's reading matters.
+			if _, err := c.Fork(run.Options{MaxCycles: 1, Arm: func(m *mach.Machine) {
+				digest = m.StateDigest()
+			}}); err == nil {
+				t.Fatalf("%s/%s: a one-cycle fork ran to its halt point", app.Name, scheme)
+			}
+			if id := c.SnapshotID(); digest != id {
+				t.Errorf("%s/%s: restored state digests to %s, snapshot id is %s", app.Name, scheme, digest, id)
+			}
+		}
+	}
+}
+
+// TestForkKeepsBootDefaultBackend: a Context forks on the default
+// backend it booted under, whatever the process default says when a
+// later fork runs.
+func TestForkKeepsBootDefaultBackend(t *testing.T) {
+	saved := run.DefaultBackend
+	defer func() { run.DefaultBackend = saved }()
+	run.DefaultBackend = run.BackendInterp
+	c := bootScheme(t, apps.PinLockN(5), "opec")
+	run.DefaultBackend = run.BackendXlat
+	var backend mach.Backend
+	if _, err := c.Fork(run.Options{Arm: func(m *mach.Machine) { backend = m.ExecBackend() }}); err != nil {
+		t.Fatal(err)
+	}
+	if backend != nil {
+		t.Errorf("a Context booted under the interpreter forked on %s", backend.Name())
 	}
 }

@@ -103,9 +103,10 @@ type Options struct {
 	MaxCycles uint64
 	// Backend selects the execution engine: BackendInterp (the
 	// reference interpreter), BackendXlat (threaded-code translation),
-	// or "" for the process default (OPEC_MACH_BACKEND, else interp).
-	// Backends are observably identical — cycle counts, faults, traces
-	// and counters match byte for byte; only wall-clock time differs.
+	// or "" for the process default (DefaultBackend) as it read when
+	// the Context booted. Backends are observably identical — cycle
+	// counts, faults, traces and counters match byte for byte; only
+	// wall-clock time differs.
 	Backend string
 }
 
@@ -118,6 +119,7 @@ type Context struct {
 	rt      runtime
 	snap    *mach.Snapshot
 	restore func() // rewinds the runtime's own state
+	backend string // DefaultBackend at boot, for forks that name none
 }
 
 // OPECContext and ACESContext are the names Context had when each
@@ -178,7 +180,7 @@ func boot(inst *apps.Instance, start func(*mach.Bus) (runtime, error)) (*Context
 	if err != nil {
 		return nil, err
 	}
-	return &Context{Inst: inst, rt: rt, snap: snap, restore: rt.checkpoint()}, nil
+	return &Context{Inst: inst, rt: rt, snap: snap, restore: rt.checkpoint(), backend: DefaultBackend}, nil
 }
 
 // SnapshotID identifies the checkpoint's machine state; together with
@@ -211,7 +213,11 @@ func (c *Context) Fork(opts Options) (*Result, error) {
 	// the translation cache stays warm across forks (Restore rewinds
 	// only architected state; translations are content-addressed by
 	// function, privilege and certificate row, never stale).
-	if err := attachBackend(m, opts.Backend); err != nil {
+	backend := opts.Backend
+	if backend == "" {
+		backend = c.backend
+	}
+	if err := attachBackend(m, backend); err != nil {
 		return nil, err
 	}
 	c.rt.setPolicy(opts.Policy)
@@ -243,6 +249,16 @@ func (c *Context) Fork(opts Options) (*Result, error) {
 // OPECWith runs a compiled OPEC build from power-on under opts.
 func OPECWith(inst *apps.Instance, b *core.Build, opts Options) (*Result, error) {
 	c, err := BootOPEC(inst, b)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fork(opts)
+}
+
+// OPECPMPWith runs a compiled OPEC build from power-on on the RISC-V
+// PMP backend under opts.
+func OPECPMPWith(inst *apps.Instance, b *core.Build, opts Options) (*Result, error) {
+	c, err := BootOPECPMP(inst, b)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +307,7 @@ func OPECPMP(inst *apps.Instance) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := BootOPECPMP(inst, b)
-	if err != nil {
-		return nil, err
-	}
-	return c.Fork(Options{})
+	return OPECPMPWith(inst, b, Options{})
 }
 
 // ACES compiles the instance with the baseline's strategy and runs it

@@ -29,8 +29,7 @@
 // whole immutable rows, so clearing certificates (the campaign Arm
 // hook) or reinstating them (Restore) re-keys to a different variant
 // instead of running a stale fused path — the translation-cache
-// analogue of the MPU micro-TLB's generation bump. Machine.Fork gives
-// the clone a fresh engine, so two forks never share cache state.
+// analogue of the MPU micro-TLB's generation bump.
 package xlat
 
 import (
@@ -51,11 +50,6 @@ func New() *Engine { return &Engine{} }
 
 // Name identifies the backend for run.Options selection.
 func (en *Engine) Name() string { return "xlat" }
-
-// Fork returns a fresh engine for a forked machine. Translations are
-// rebuilt lazily on the clone; sharing the parent's cache would race
-// two machines' lazy translation and pin the parent's resolved state.
-func (en *Engine) Fork() mach.Backend { return New() }
 
 // variants holds one function's translations, one per (privilege,
 // certificate row) pair seen at activation entry. fn guards the index

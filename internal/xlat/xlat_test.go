@@ -578,44 +578,6 @@ func TestXlatTraceExactness(t *testing.T) {
 	}
 }
 
-// TestXlatForkGetsFreshEngine: a forked machine must not share the
-// parent's translation cache (mach.Backend.Fork contract).
-func TestXlatForkGetsFreshEngine(t *testing.T) {
-	m := ir.NewModule("fork")
-	g := m.AddGlobal(&ir.Global{Name: "g", Typ: ir.I32})
-	mb := ir.NewFunc(m, "main", "a.c", ir.I32)
-	v := mb.Load(ir.I32, g)
-	mb.Store(ir.I32, g, mb.Add(v, ir.CI(1)))
-	mb.Ret(mb.Load(ir.I32, g))
-
-	mm := newMachine(t, m)
-	en := xlat.New()
-	mm.SetBackend(en)
-	if _, err := mm.Run(m.MustFunc("main")); err != nil {
-		t.Fatal(err)
-	}
-	nm := mm.Fork()
-	if nm.ExecBackend() == nil {
-		t.Fatal("fork dropped the backend")
-	}
-	if nm.ExecBackend() == mach.Backend(en) {
-		t.Fatal("fork shares the parent's engine")
-	}
-	nm.Halted = false
-	r1, err := nm.Run(m.MustFunc("main"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm.Halted = false
-	r2, err := mm.Run(m.MustFunc("main"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Errorf("fork diverged: %d vs %d", r1, r2)
-	}
-}
-
 // BenchmarkBackendDispatch is the interp-vs-xlat A/B on a
 // dispatch-bound workload (the same loop shape as the mach package's
 // BenchmarkStepDispatch): instr_ns is seconds per simulated

@@ -302,10 +302,12 @@ var (
 	ValidateChromeTrace = trace.ValidateChrome
 	// RenderTraceCounters prints a counter snapshot, one per line.
 	RenderTraceCounters = trace.RenderCounters
-	// RunVanillaWith / RunOPECWith / RunACESWith are the Options-taking
-	// run entry points (trace attachment, recovery policy, injection).
+	// RunVanillaWith / RunOPECWith / RunOPECPMPWith / RunACESWith are
+	// the Options-taking run entry points (trace attachment, recovery
+	// policy, injection).
 	RunVanillaWith = run.VanillaWith
 	RunOPECWith    = run.OPECWith
+	RunOPECPMPWith = run.OPECPMPWith
 	RunACESWith    = run.ACESWith
 	// InjectOPECTraced replays one fault-injection trial with a trace
 	// buffer attached (the golden-trace path for Section 6.1).
