@@ -52,6 +52,10 @@ func main() {
 	if *backend != "" { // leave the OPEC_MACH_BACKEND default in place otherwise
 		fail(opec.SetExecBackend(*backend))
 	}
+	pol, err := opec.ParsePolicy(*policy)
+	fail(err)
+	engine, err := parseEngine(*injectEngine)
+	fail(err)
 
 	if *validate != "" {
 		data, err := os.ReadFile(*validate)
@@ -128,11 +132,9 @@ func main() {
 	// Not part of -exp all: every trial compiles and runs a fresh
 	// workload, so a campaign multiplies the sweep's cost.
 	if strings.EqualFold(*exp, "inject") {
-		pol, err := opec.ParsePolicy(*policy)
-		fail(err)
 		cfg := opec.DefaultInjectConfig(*seed)
 		var rows []opec.InjectRow
-		switch strings.ToLower(*injectEngine) {
+		switch engine {
 		case "fork":
 			rows, err = h.InjectWith(scale, cfg, pol, opec.EngineFork)
 		case "boot":
@@ -156,8 +158,6 @@ func main() {
 				trials += r.Trials
 			}
 			fmt.Printf("differential: fork == boot over %d trials\n", trials)
-		default:
-			err = fmt.Errorf("unknown -inject-engine %q (want fork | boot | diff)", *injectEngine)
 		}
 		fail(err)
 		fmt.Println(opec.RenderInject(rows))
@@ -185,8 +185,6 @@ func main() {
 	// Not part of -exp all: a fuzzing campaign's cost is set by its
 	// budget, not the sweep's shape.
 	if strings.EqualFold(*exp, "fuzz") {
-		pol, err := opec.ParsePolicy(*policy)
-		fail(err)
 		rep, err := h.Fuzz(scale, *seed, *fuzzBudget, *fuzzRandom, pol, *backend)
 		fail(err)
 		fmt.Print(opec.RenderFuzz(rep))
@@ -226,6 +224,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "opec-bench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+}
+
+// parseEngine checks -inject-engine's value, in any case.
+func parseEngine(name string) (string, error) {
+	switch e := strings.ToLower(name); e {
+	case "fork", "boot", "diff":
+		return e, nil
+	}
+	return "", fmt.Errorf("unknown -inject-engine %q (want fork | boot | diff)", name)
 }
 
 // replayMode maps a campaign scheme to the opec-run -mode that

@@ -209,22 +209,28 @@ func target(s symbols, query, arg string) (uint32, int, error) {
 		}
 		n = v
 	}
+	var addr uint32
 	if strings.HasPrefix(name, "0x") || strings.HasPrefix(name, "0X") {
 		a, err := strconv.ParseUint(name, 0, 32)
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s: target %q: address %q: want a 32-bit hex number", query, arg, name)
 		}
+		addr = uint32(a)
 		if n == 0 {
 			n = 1
 		}
-		return uint32(a), n, nil
+	} else {
+		a, size, err := s.ResolveGlobal(name)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s: target %q: %w", query, arg, err)
+		}
+		addr = a
+		if n == 0 {
+			n = size
+		}
 	}
-	addr, size, err := s.ResolveGlobal(name)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%s: target %q: %w", query, arg, err)
-	}
-	if n == 0 {
-		n = size
+	if uint64(addr)+uint64(n) > 1<<32 {
+		return 0, 0, fmt.Errorf("%s: target %q: range %#08x+%d runs past 0xffffffff", query, arg, addr, n)
 	}
 	return addr, n, nil
 }

@@ -52,6 +52,9 @@ func TestArgumentErrors(t *testing.T) {
 		{"zero length", tgt(target(syms, "last-writer", "KEY:0")), 0, 0, `last-writer: target "KEY:0": length "0": want a positive number`},
 		{"bad address", tgt(target(syms, "watch", "0xzz")), 0, 0, `watch: target "0xzz": address "0xzz": want a 32-bit hex number`},
 		{"address beyond 32 bits", tgt(target(syms, "watch", "0x100000000:4")), 0, 0, `watch: target "0x100000000:4": address "0x100000000": want a 32-bit hex number`},
+		{"range past 32 bits", tgt(target(syms, "watch", "0xffffffff:8")), 0, 0, `watch: target "0xffffffff:8": range 0xffffffff+8 runs past 0xffffffff`},
+		{"length past 32 bits", tgt(target(syms, "watch", "0x20000000:99999999999")), 0, 0, `watch: target "0x20000000:99999999999": range 0x20000000+99999999999 runs past 0xffffffff`},
+		{"range ending at 32 bits", tgt(target(syms, "watch", "0xfffffffc:4")), 0xfffffffc, 4, ""},
 	}
 	for _, c := range cases {
 		v, n, err := c.got.v, c.got.n, c.got.err

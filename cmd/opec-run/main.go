@@ -33,7 +33,7 @@
 // checkpoint's id must match the coordinate, and the single trial runs
 // forked from it:
 //
-//	opec-run -app PinLock -mode opec -replay '5c308dae1b9478bf@store:Lock_Task:1:KEY:0:-1:0xee'
+//	opec-run -app PinLock -mode opec -replay '2acc408c9ff6df58@store:Lock_Task:1:KEY:0:-1:0xee'
 package main
 
 import (
@@ -76,6 +76,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "opec-run: -app is required")
 		os.Exit(2)
 	}
+	pol, err := opec.ParsePolicy(*policy)
+	fail(err)
 	app, err := opec.AppByName(*appName)
 	fail(err)
 	if *quick {
@@ -91,11 +93,11 @@ func main() {
 	}
 
 	if *injectSpec != "" {
-		replayTrial(app, *mode, *injectSpec, *policy, *maxCycles)
+		replayTrial(app, *mode, *injectSpec, pol, *maxCycles)
 		return
 	}
 	if *replaySpec != "" {
-		replayFromSnapshot(app, *mode, *replaySpec, *policy, *maxCycles)
+		replayFromSnapshot(app, *mode, *replaySpec, pol, *maxCycles)
 		return
 	}
 	inst := app.New()
@@ -261,10 +263,8 @@ func mustCompileACES(inst *opec.Instance, s opec.Strategy) *opec.ACESBuild {
 
 // replayTrial runs one fault-injection trial and reports its verdict;
 // an uncontained verdict (escape or monitor crash) exits non-zero.
-func replayTrial(app *opec.App, mode, specText, policy string, maxCycles uint64) {
+func replayTrial(app *opec.App, mode, specText string, pol opec.RecoveryPolicy, maxCycles uint64) {
 	spec, err := opec.ParseInjectSpec(specText)
-	fail(err)
-	pol, err := opec.ParsePolicy(policy)
 	fail(err)
 
 	var out opec.InjectOutcome
@@ -289,14 +289,12 @@ func replayTrial(app *opec.App, mode, specText, policy string, maxCycles uint64)
 // workload, verify the checkpoint hashes to the recorded id, fork the
 // single trial. The '@' separator keeps the coordinate unambiguous —
 // specs use ':' internally.
-func replayFromSnapshot(app *opec.App, mode, coord, policy string, maxCycles uint64) {
+func replayFromSnapshot(app *opec.App, mode, coord string, pol opec.RecoveryPolicy, maxCycles uint64) {
 	id, specText, ok := strings.Cut(coord, "@")
 	if !ok || id == "" || specText == "" {
 		fail(fmt.Errorf("-replay wants '<snapshot-id>@<spec>', got %q", coord))
 	}
 	spec, err := opec.ParseInjectSpec(specText)
-	fail(err)
-	pol, err := opec.ParsePolicy(policy)
 	fail(err)
 
 	var forge *opec.Forge

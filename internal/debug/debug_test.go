@@ -284,6 +284,36 @@ func TestLastWriterGolden(t *testing.T) {
 	}
 }
 
+// TestWatchRejectsWrappingRanges: a range that is empty or runs past
+// 0xffffffff is an error naming it, not a wrapped or truncated watch,
+// for both range queries; a range ending exactly at 0xffffffff is fine.
+func TestWatchRejectsWrappingRanges(t *testing.T) {
+	s := golden(t, "")
+	for _, c := range []struct {
+		addr uint32
+		n    int
+		want string
+	}{
+		{0xffffffff, 8, "debug: range 0xffffffff+8: want a positive length that ends at or below 0xffffffff"},
+		{0x20000000, 99999999999, "debug: range 0x20000000+99999999999: want a positive length that ends at or below 0xffffffff"},
+		{0x20000000, 0, "debug: range 0x20000000+0: want a positive length that ends at or below 0xffffffff"},
+	} {
+		if _, err := s.Watch(c.addr, c.n, 0, 0); err == nil || err.Error() != c.want {
+			t.Errorf("Watch(%#x, %d): error %v, want %q", c.addr, c.n, err, c.want)
+		}
+		if _, err := s.LastWriter(c.addr, c.n, 20000); err == nil || err.Error() != c.want {
+			t.Errorf("LastWriter(%#x, %d): error %v, want %q", c.addr, c.n, err, c.want)
+		}
+	}
+	out, err := s.Watch(0xfffffffc, 4, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "no writes in cycle range") {
+		t.Errorf("watch of the top word:\n%s", out)
+	}
+}
+
 // TestReplayCoordinateRoundTrip proves any finding is debuggable from
 // its '<snapid>@<spec>' coordinate alone: a second session opened from
 // the coordinate answers queries byte-identically, and a corrupted

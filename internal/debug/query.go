@@ -221,6 +221,15 @@ func (c *collector) HandleRepeat(w []trace.Event, _, _ uint64) {
 	}
 }
 
+// checkRange rejects a watched range [addr, addr+n) that is empty or
+// runs past 0xffffffff: the collector's 32-bit bounds would wrap it.
+func checkRange(addr uint32, n int) error {
+	if n <= 0 || uint64(addr)+uint64(n) > 1<<32 {
+		return fmt.Errorf("debug: range %#08x+%d: want a positive length that ends at or below 0xffffffff", addr, n)
+	}
+	return nil
+}
+
 func (c *collector) overlaps(addr uint32, size int) bool {
 	return addr < c.lo+uint32(c.n) && addr+uint32(size) > c.lo
 }
@@ -289,6 +298,9 @@ func (s *Session) renderRec(r watchRec) string {
 // operation and protection verdict of each — the data-watchpoint
 // query.
 func (s *Session) Watch(addr uint32, n int, from, to uint64) (string, error) {
+	if err := checkRange(addr, n); err != nil {
+		return "", err
+	}
 	return s.timed(func() (string, error) {
 		recs, err := s.collect(addr, n)
 		if err != nil {
@@ -327,6 +339,9 @@ func (s *Session) Watch(addr uint32, n int, from, to uint64) (string, error) {
 // [addr, addr+n) at or before cycle c, plus any later denied attempt —
 // "who produced the value this address held at cycle c".
 func (s *Session) LastWriter(addr uint32, n int, c uint64) (string, error) {
+	if err := checkRange(addr, n); err != nil {
+		return "", err
+	}
 	return s.timed(func() (string, error) {
 		recs, err := s.collect(addr, n)
 		if err != nil {

@@ -100,7 +100,7 @@ func TestSDCardReadWrite(t *testing.T) {
 	for i := 0; i < BlockSize/4; i++ {
 		sd.Store(SdioFIFO, 4, 0xA5A5A5A5)
 	}
-	if img[2*BlockSize] != 0xA5 || img[3*BlockSize-1] != 0xA5 {
+	if data := sd.Data(); data[2*BlockSize] != 0xA5 || data[3*BlockSize-1] != 0xA5 {
 		t.Error("write did not commit")
 	}
 	if sd.Reads != 1 || sd.Writes != 1 {

@@ -32,12 +32,14 @@ const BlockSize = 512
 
 // SDCard models an SDIO host + card: firmware writes the block number
 // to ARG, the command to CMD, waits for STA.ready (the card's latency
-// is cycle-scheduled), then streams 128 words through the FIFO.
+// is cycle-scheduled), then streams 128 words through the FIFO. The
+// card's blocks live in a page store (mach.Paged), which machine
+// checkpoints freeze and restore copy-on-write with Flash and SRAM.
 type SDCard struct {
 	Clk     *mach.Clock
 	Latency uint64 // cycles per block operation
 
-	data []byte // raw card contents
+	pages *mach.PageStore // card contents
 
 	arg     uint32
 	cmd     uint32
@@ -48,12 +50,13 @@ type SDCard struct {
 	Reads, Writes uint64
 }
 
-// NewSDCard wraps a raw disk image (length multiple of 512).
+// NewSDCard returns a card holding a copy of a raw disk image (length
+// multiple of 512).
 func NewSDCard(clk *mach.Clock, img []byte, latency uint64) *SDCard {
 	if len(img)%BlockSize != 0 {
 		panic("dev: SD image not block-aligned")
 	}
-	return &SDCard{Clk: clk, data: img, Latency: latency}
+	return &SDCard{Clk: clk, pages: mach.NewPageStore(img), Latency: latency}
 }
 
 // Name, Base, Size implement mach.Device.
@@ -61,8 +64,12 @@ func (s *SDCard) Name() string { return "SDIO" }
 func (s *SDCard) Base() uint32 { return mach.SDIOBase }
 func (s *SDCard) Size() uint32 { return 0x400 }
 
-// Data exposes the raw image (tests and host-side verification).
-func (s *SDCard) Data() []byte { return s.data }
+// Data returns a copy of the card's contents (tests and host-side
+// verification).
+func (s *SDCard) Data() []byte { return s.pages.Bytes() }
+
+// Pages implements mach.Paged.
+func (s *SDCard) Pages() *mach.PageStore { return s.pages }
 
 // Load implements the register file.
 func (s *SDCard) Load(off uint32, _ int) uint32 {
@@ -98,8 +105,8 @@ func (s *SDCard) Store(off uint32, _ int, v uint32) {
 		case SdCmdReadBlock:
 			s.Reads++
 			start := int(s.arg) * BlockSize
-			if start+BlockSize <= len(s.data) {
-				copy(s.buf[:], s.data[start:start+BlockSize])
+			if start+BlockSize <= s.pages.Size() {
+				s.pages.Read(start, s.buf[:])
 			} else {
 				s.buf = [BlockSize]byte{}
 			}
@@ -115,8 +122,8 @@ func (s *SDCard) Store(off uint32, _ int, v uint32) {
 		s.bufPos += 4
 		if s.bufPos == BlockSize {
 			start := int(s.arg) * BlockSize
-			if start+BlockSize <= len(s.data) {
-				copy(s.data[start:start+BlockSize], s.buf[:])
+			if start+BlockSize <= s.pages.Size() {
+				s.pages.Write(start, s.buf[:])
 			}
 		}
 	}

@@ -33,6 +33,8 @@ var (
 	_ mach.Stateful = (*EthMAC)(nil)
 	_ mach.Stateful = (*Camera)(nil)
 	_ mach.Stateful = (*USBMSC)(nil)
+
+	_ mach.Paged = (*SDCard)(nil)
 )
 
 // stateWriter appends primitive values to a buffer.
@@ -199,12 +201,13 @@ func (n *RNG) LoadState(data []byte) error {
 	return r.done("RNG")
 }
 
-// SaveState and LoadState implement mach.Stateful. The full card image
-// is captured: firmware writes mutate it, and a forked trial must see
-// the pre-injection filesystem, not a sibling's.
+// SaveState and LoadState implement mach.Stateful: the registers, the
+// FIFO buffer and the counters. The card's blocks are its page store
+// (mach.Paged), which the machine freezes and restores itself, so a
+// forked trial sees the pre-injection filesystem, not a sibling's,
+// without copying the card.
 func (s *SDCard) SaveState() []byte {
 	var w stateWriter
-	w.bytes(s.data)
 	w.u32(s.arg)
 	w.u32(s.cmd)
 	w.u64(s.readyAt)
@@ -217,7 +220,6 @@ func (s *SDCard) SaveState() []byte {
 
 func (s *SDCard) LoadState(data []byte) error {
 	r := stateReader{b: data}
-	img := r.bytes()
 	s.arg = r.u32()
 	s.cmd = r.u32()
 	s.readyAt = r.u64()
@@ -228,10 +230,9 @@ func (s *SDCard) LoadState(data []byte) error {
 	if err := r.done("SDIO"); err != nil {
 		return err
 	}
-	if len(img) != len(s.data) || len(buf) != len(s.buf) {
-		return fmt.Errorf("dev: SDIO: state is for a different card geometry")
+	if len(buf) != len(s.buf) {
+		return fmt.Errorf("dev: SDIO: state is for a different FIFO size")
 	}
-	copy(s.data, img)
 	copy(s.buf[:], buf)
 	return nil
 }

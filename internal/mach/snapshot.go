@@ -17,8 +17,9 @@ import (
 // fast-forward state, clockState, busState, mpuState and pmpState. A
 // capture (stateImage, stateframe.go) copies those structs by value,
 // beside the Flash and SRAM page sets — shared copy-on-write with the
-// live run (pagedmem.go) — and one record per device; a snapshot adds
-// the installed proof-certificate rows. Every other field of those
+// live run (pagedmem.go) — and one record per device, which holds the
+// device's page set too when it is Paged; a snapshot adds the installed
+// proof-certificate rows. Every other field of those
 // components is wiring, run configuration or a host-side cache derived
 // from the state, and state_test.go lists each one with its reason.
 // Restore detaches the per-run attachments (trace buffers, the armed
@@ -29,23 +30,36 @@ import (
 // mutates during a run. Snapshot captures SaveState() for every
 // Stateful device; devices that do not implement it are assumed
 // stateless (pure functions of the clock and their configuration) and
-// are recorded by name and base only.
+// are recorded by name and base only. Bulk storage belongs in a page
+// store (Paged), not in the SaveState bytes, which every capture
+// copies and every digest hashes whole.
 type Stateful interface {
 	Device
-	// SaveState serializes all mutable state. The returned buffer is
-	// private to the caller.
+	// SaveState serializes all mutable state outside the device's page
+	// store. The returned buffer is private to the caller.
 	SaveState() []byte
 	// LoadState restores a SaveState buffer. The buffer must be treated
 	// as read-only: a snapshot restores any number of times.
 	LoadState(data []byte) error
 }
 
+// Paged is implemented by device models that keep bulk storage in a
+// page store — the SD card's blocks. Snapshot, CaptureState and Restore
+// freeze and restore the store with Flash and SRAM, so a capture shares
+// its pages copy-on-write and a digest hashes only pages written since
+// they were last frozen.
+type Paged interface {
+	Device
+	Pages() *PageStore
+}
+
 // devState is one device's captured state. data is nil for devices
-// that are not Stateful.
+// that are not Stateful, pages for devices that are not Paged.
 type devState struct {
-	name string
-	base uint32
-	data []byte
+	name  string
+	base  uint32
+	data  []byte
+	pages []*page
 }
 
 // Snapshot is an immutable machine checkpoint. It shares memory pages
@@ -88,7 +102,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("mach: snapshot inside IRQ handler: machine must be quiescent")
 	}
 	s := &Snapshot{
-		img:   m.image(m.Bus.flash.snapshotPages(), m.Bus.sram.snapshotPages()),
+		img:   m.image(true),
 		certs: make([][]byte, len(m.metaByIdx)),
 	}
 	for i := range m.metaByIdx {
@@ -121,15 +135,25 @@ func (m *Machine) Restore(s *Snapshot) error {
 			return fmt.Errorf("mach: restore: device %d is %s@%#08x, snapshot expects %s@%#08x",
 				i, d.Name(), d.Base(), ds.name, ds.base)
 		}
-		if ds.data == nil {
-			continue
+		if ds.data != nil {
+			sd, ok := d.(Stateful)
+			if !ok {
+				return fmt.Errorf("mach: restore: device %s@%#08x lost its Stateful implementation", ds.name, ds.base)
+			}
+			if err := sd.LoadState(ds.data); err != nil {
+				return fmt.Errorf("mach: restore device %s: %w", ds.name, err)
+			}
 		}
-		sd, ok := d.(Stateful)
-		if !ok {
-			return fmt.Errorf("mach: restore: device %s@%#08x lost its Stateful implementation", ds.name, ds.base)
-		}
-		if err := sd.LoadState(ds.data); err != nil {
-			return fmt.Errorf("mach: restore device %s: %w", ds.name, err)
+		if ds.pages != nil {
+			pd, ok := d.(Paged)
+			if !ok {
+				return fmt.Errorf("mach: restore: device %s@%#08x lost its Paged implementation", ds.name, ds.base)
+			}
+			pm := pd.Pages()
+			if len(pm.pages) != len(ds.pages) {
+				return fmt.Errorf("mach: restore device %s: snapshot is for a different storage geometry", ds.name)
+			}
+			pm.restorePages(ds.pages)
 		}
 	}
 

@@ -40,7 +40,7 @@ func TestPagedMemCOW(t *testing.T) {
 	if got := pm.readLE(0x10, 4); got != 0xDEADBEEF {
 		t.Fatalf("post-snapshot write not visible: %#x", got)
 	}
-	if got := readLE(snap[0][0x10:], 4); got != 0xAABBCCDD {
+	if got := readLE(snap[0].b[0x10:], 4); got != 0xAABBCCDD {
 		t.Fatalf("snapshot page mutated by post-snapshot write: %#x", got)
 	}
 

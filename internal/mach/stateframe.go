@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 )
 
 // Mid-run state frames. Snapshot() demands a quiescent machine because
@@ -20,12 +19,20 @@ import (
 // Digest — proving the replayed machine passed through exactly the
 // captured state.
 //
-// Capture hashes nothing: it freezes the copy-on-write page sets (page
-// count pointer copies), copies the components' state structs and each
-// Stateful device's SaveState bytes. Until its digest is read, holding
-// a frame pins every page the live run has dirtied since capture plus
-// those device copies; the first Digest call hashes the image and drops
-// it, after which the frame holds only its 16-hex digest.
+// Capture hashes nothing: it freezes the copy-on-write page sets of
+// Flash, SRAM and every Paged device (page count pointer copies), and
+// copies the components' state structs and each Stateful device's
+// SaveState bytes, which hold registers and buffers, no bulk storage.
+// Until its digest is read, holding a frame pins only the pages the
+// live run has dirtied since capture plus those register copies; the
+// first Digest call hashes the image and drops it, after which the
+// frame holds only its 16-hex digest.
+//
+// A digest hashes each page's SHA-256, not its bytes. A frozen page
+// never changes, so it computes its sum once, on the first digest that
+// reads it, and keeps it (page.sum); a page the live run still owns is
+// hashed afresh by every digest. A digest therefore hashes the bytes of
+// only the pages written since they were last frozen.
 
 // StateFrame is one mid-run capture: the cycle, SP and privilege it was
 // taken at, and either the unhashed state image (until Digest or
@@ -41,8 +48,8 @@ type StateFrame struct {
 
 // stateImage is one capture of the machine's state: every component's
 // state struct by value, the Flash and SRAM page sets, and one record
-// per attached device. A snapshot restores from it and a digest hashes
-// its architected part.
+// per attached device with its page set when it is Paged. A snapshot
+// restores from it and a digest hashes its architected part.
 type stateImage struct {
 	cpu    cpuState
 	ff     ffCounts
@@ -52,7 +59,7 @@ type stateImage struct {
 	pmp    pmpState
 	hasPMP bool // the bus protection unit is a PMP
 
-	flash, sram [][]byte
+	flash, sram []*page
 	devs        []devState
 }
 
@@ -61,7 +68,7 @@ type stateImage struct {
 // freeze affects copy-on-write ownership, never contents or cycles).
 // Its Digest equals StateDigest read at the same point.
 func (m *Machine) CaptureState() *StateFrame {
-	img := m.image(m.Bus.flash.snapshotPages(), m.Bus.sram.snapshotPages())
+	img := m.image(true)
 	return &StateFrame{Cycle: m.Clock.Now(), SP: m.SP, Privileged: m.Privileged, img: &img}
 }
 
@@ -91,27 +98,38 @@ func (f *StateFrame) Release() { f.img = nil }
 // verification is exactly that comparison — and a machine just
 // restored to a snapshot digests to the snapshot's ID.
 func (m *Machine) StateDigest() string {
-	img := m.image(m.Bus.flash.pages, m.Bus.sram.pages)
+	img := m.image(false)
 	return img.digest()
 }
 
-// image captures the machine's state over the given page sets: frozen
-// ones for a snapshot or frame, the live ones for an immediate digest.
-func (m *Machine) image(flash, sram [][]byte) stateImage {
+// image captures the machine's state: over page sets it freezes for a
+// snapshot or frame (freeze), over the live ones for an immediate
+// digest.
+func (m *Machine) image(freeze bool) stateImage {
+	pages := func(pm *pagedMem) []*page {
+		if freeze {
+			return pm.snapshotPages()
+		}
+		return pm.pages
+	}
 	b := m.Bus
 	img := stateImage{
 		cpu: m.cpuState, ff: m.ff.ffCounts, clock: m.Clock.clockState,
 		bus: b.busState, mpu: b.MPU.mpuState,
-		flash: flash, sram: sram,
+		flash: pages(b.flash), sram: pages(b.sram),
 		devs: make([]devState, len(b.devices)),
 	}
 	if p, ok := b.Prot.(*PMP); ok {
 		img.pmp, img.hasPMP = p.pmpState, true
 	}
 	for i, d := range b.devices {
-		img.devs[i] = devState{name: d.Name(), base: d.Base()}
+		ds := &img.devs[i]
+		ds.name, ds.base = d.Name(), d.Base()
 		if sd, ok := d.(Stateful); ok {
-			img.devs[i].data = sd.SaveState()
+			ds.data = sd.SaveState()
+		}
+		if pd, ok := d.(Paged); ok {
+			ds.pages = pages(pd.Pages())
 		}
 	}
 	return img
@@ -119,30 +137,54 @@ func (m *Machine) image(flash, sram [][]byte) stateImage {
 
 // digest hashes the image's architected part: the CPU registers (the
 // instruction count among them), the clock, the DWT enable, the MPU
-// and PMP registers, both page sets and every device record. It leaves
-// out the statistics and cache counters and the micro-TLB generation,
-// which caches, skipped poll iterations and the execution engine move
-// without changing what the machine computes, and the certificate
-// rows, which only select the elided access path (a snapshot keeps
-// them beside its image).
+// and PMP registers, the SHA-256 of every Flash and SRAM page and every
+// device record with its page sums. It leaves out the statistics and
+// cache counters and the micro-TLB generation, which caches, skipped
+// poll iterations and the execution engine move without changing what
+// the machine computes, and the certificate rows, which only select the
+// elided access path (a snapshot keeps them beside its image).
 func (img *stateImage) digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cpu %v\nclock %v\nbus %v\nmpu %v\n", img.cpu.cpuRegs, img.clock, img.bus.busRegs, img.mpu.mpuRegs)
-	if img.hasPMP {
-		fmt.Fprintf(h, "pmp %v\n", img.pmp.pmpRegs)
-	}
-	hashPages(h, "flash", img.flash)
-	hashPages(h, "sram", img.sram)
+	// Room for the register lines, every page sum and every device
+	// record, so the hashed buffer is allocated once.
+	n := 512 + (len(img.flash)+len(img.sram))*sha256.Size
 	for _, d := range img.devs {
-		fmt.Fprintf(h, "dev %s %#08x ", d.name, d.base)
-		h.Write(d.data)
+		n += 64 + len(d.data) + len(d.pages)*sha256.Size
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	buf := make([]byte, 0, n)
+	buf = fmt.Appendf(buf, "cpu %v\nclock %v\nbus %v\nmpu %v\n", img.cpu.cpuRegs, img.clock, img.bus.busRegs, img.mpu.mpuRegs)
+	if img.hasPMP {
+		buf = fmt.Appendf(buf, "pmp %v\n", img.pmp.pmpRegs)
+	}
+	buf = appendPageSums(buf, "flash", img.flash)
+	buf = appendPageSums(buf, "sram", img.sram)
+	for _, d := range img.devs {
+		buf = fmt.Appendf(buf, "dev %s %#08x ", d.name, d.base)
+		buf = append(buf, d.data...)
+		if d.pages != nil {
+			buf = appendPageSums(buf, "pages", d.pages)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
 }
 
-func hashPages(h hash.Hash, label string, pages [][]byte) {
-	fmt.Fprintf(h, "%s %d\n", label, len(pages))
+// appendPageSums appends a page set's length and each page's SHA-256.
+func appendPageSums(buf []byte, label string, pages []*page) []byte {
+	buf = fmt.Appendf(buf, "%s %d\n", label, len(pages))
 	for _, p := range pages {
-		h.Write(p)
+		s := p.sum()
+		buf = append(buf, s[:]...)
 	}
+	return buf
+}
+
+// sum is the page's SHA-256. A frozen page computes it once, on the
+// first call from any goroutine, and keeps it; an owned page may still
+// change, so it is hashed on every call.
+func (p *page) sum() [sha256.Size]byte {
+	if !p.frozen {
+		return sha256.Sum256(p.b[:])
+	}
+	p.sumOnce.Do(func() { p.sumv = sha256.Sum256(p.b[:]) })
+	return p.sumv
 }

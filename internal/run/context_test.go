@@ -1,6 +1,7 @@
 package run_test
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,17 +10,29 @@ import (
 	"opec/internal/aces"
 	"opec/internal/apps"
 	"opec/internal/core"
+	"opec/internal/dev"
 	"opec/internal/mach"
 	"opec/internal/run"
 	"opec/internal/trace"
 )
 
-// quickApps are four workloads at the evaluation harness's quick
-// scale, and schemes every scheme a Context boots.
+// quickApps are five workloads at the evaluation harness's quick
+// scale, FatFs-uSD the one that writes its SD card, and schemes every
+// scheme a Context boots.
 var (
-	quickApps = []*apps.App{apps.PinLockN(5), apps.AnimationN(3), apps.TCPEchoN(3, 9), apps.CoreMarkN(3)}
+	quickApps = []*apps.App{apps.PinLockN(5), apps.AnimationN(3), apps.TCPEchoN(3, 9), apps.CoreMarkN(3), apps.FatFsUSD()}
 	schemes   = []string{"vanilla", "opec", "opec-pmp", "aces1", "aces2", "aces3"}
 )
+
+// sdCard returns the instance's SD card, or nil.
+func sdCard(inst *apps.Instance) *dev.SDCard {
+	for _, d := range inst.Devices {
+		if sd, ok := d.(*dev.SDCard); ok {
+			return sd
+		}
+	}
+	return nil
+}
 
 // bootScheme compiles a fresh instance of app for scheme and boots it.
 func bootScheme(t *testing.T, app *apps.App, scheme string) *run.Context {
@@ -55,11 +68,12 @@ func bootScheme(t *testing.T, app *apps.App, scheme string) *run.Context {
 }
 
 // forkObs is what a clean fork exposes: its outcome, cycles, final
-// machine state and every registry counter.
+// machine state, the SD card's contents and every registry counter.
 type forkObs struct {
 	err, check string
 	cycles     uint64
 	digest     string
+	card       []byte
 	counters   map[string]uint64
 }
 
@@ -72,6 +86,9 @@ func observeFork(c *run.Context) forkObs {
 		o.check = cerr.Error()
 	}
 	o.cycles, o.digest = res.Cycles, res.Machine.StateDigest()
+	if sd := sdCard(c.Inst); sd != nil {
+		o.card = sd.Data()
+	}
 	reg := trace.NewRegistry()
 	reg.Register(res.Machine)
 	if res.Mon != nil {
@@ -93,6 +110,9 @@ func (o forkObs) diff(ref forkObs) string {
 	}
 	if o.cycles != ref.cycles || o.digest != ref.digest {
 		d = append(d, fmt.Sprintf("%d cycles digest %s, power-on %d cycles digest %s", o.cycles, o.digest, ref.cycles, ref.digest))
+	}
+	if !bytes.Equal(o.card, ref.card) {
+		d = append(d, "SD card contents differ from power-on's")
 	}
 	names := map[string]bool{}
 	for k := range o.counters {
@@ -118,13 +138,25 @@ func (o forkObs) diff(ref forkObs) string {
 // layer, for every scheme: after a dirty fork — traced, with a stack
 // exhaustion injected at main and a 5000-cycle budget — a Context's
 // next clean fork must equal a fresh boot's first in outcome, cycles,
-// final state and every machine, monitor and ACES counter.
+// final state, SD card contents and every machine, monitor and ACES
+// counter. FatFs-uSD first runs one fork to completion, which writes a
+// file to its card, so a card write leaking into a later fork shows.
 func TestForkAfterDirtyForkMatchesBoot(t *testing.T) {
 	for _, app := range quickApps {
 		for _, scheme := range schemes {
 			want := observeFork(bootScheme(t, app, scheme))
 
 			c := bootScheme(t, app, scheme)
+			if app.Name == "FatFs-uSD" {
+				// A whole run writes STM32.TXT to the card, which the
+				// checkpoint's card does not hold.
+				if _, err := c.Fork(run.Options{}); err != nil {
+					t.Fatalf("%s/%s: the card-writing fork: %v", app.Name, scheme, err)
+				}
+				if _, ok := dev.ReadFileFromImage(sdCard(c.Inst).Data(), "STM32   TXT"); !ok {
+					t.Fatalf("%s/%s: the card-writing fork left no STM32.TXT on the card", app.Name, scheme)
+				}
+			}
 			main := c.Inst.Mod.MustFunc("main")
 			buf := trace.NewBuffer(256)
 			if _, err := c.Fork(run.Options{
