@@ -2,12 +2,16 @@ package debug
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"opec/internal/apps"
 	"opec/internal/exper"
 	"opec/internal/inject"
+	"opec/internal/mach"
 	"opec/internal/monitor"
 	"opec/internal/trace"
 )
@@ -20,20 +24,26 @@ const keyOverwriteSpec = "store:Lock_Task:1:KEY:0:-1:0xee"
 // golden records the §6.1 KEY-overwrite run on the given backend.
 func golden(t *testing.T, backend string) *Session {
 	t.Helper()
-	spec, err := inject.ParseSpec(keyOverwriteSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{
-		App:     apps.PinLockN(1),
-		Spec:    &spec,
-		Policy:  monitor.Policy{Kind: monitor.RestartOperation},
-		Backend: backend,
-	})
+	s, err := New(goldenConfig(t, backend))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// goldenConfig configures the §6.1 KEY-overwrite session.
+func goldenConfig(t *testing.T, backend string) Config {
+	t.Helper()
+	spec, err := inject.ParseSpec(keyOverwriteSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		App:     apps.PinLockN(1),
+		Spec:    &spec,
+		Policy:  monitor.Policy{Kind: monitor.RestartOperation},
+		Backend: backend,
+	}
 }
 
 // TestBlameGoldenKeyOverwrite reproduces the §6.1 forensics: blame with
@@ -141,9 +151,10 @@ func TestSeekStreamingSuffixCheck(t *testing.T) {
 		}
 	}
 	edit := func(i int, change func(*trace.Event)) (undo func()) {
-		orig := st.events[i]
-		change(&st.events[i])
-		return func() { st.events[i] = orig }
+		e := st.slot(i)
+		orig := *e
+		change(e)
+		return func() { *e = orig }
 	}
 
 	undo := edit(from, func(e *trace.Event) { e.Cycle++ })
@@ -163,7 +174,7 @@ func TestSeekStreamingSuffixCheck(t *testing.T) {
 	seek("recording one event longer", true)
 	st.events = events
 
-	names := st.buf.Names()
+	names := st.names
 	id := st.Event(call).Arg
 	orig := names[id]
 	names[id] = orig + "_renamed"
@@ -177,7 +188,9 @@ func TestSeekStreamingSuffixCheck(t *testing.T) {
 // every copy a fast-forward repeats: a recording that differs from the
 // replay at any event from the check's start on, inside or outside the
 // repeated copies, is refused, and one that differs only before it is
-// accepted.
+// accepted. The recording holds the copies event by event, or as the
+// segment a repeat stores, where changing a copy changes the window
+// all its copies share.
 func TestSuffixCheckRepeatedCopies(t *testing.T) {
 	events := []trace.Event{
 		{Cycle: 5, Kind: trace.EvCall, Arg: 1}, {Cycle: 6, Kind: trace.EvCallRet, Arg: 1},
@@ -198,16 +211,22 @@ func TestSuffixCheckRepeatedCopies(t *testing.T) {
 		buf.Emit(tail)
 		return chk.err()
 	}
-	record := func() *Store {
+	record := func(repeated bool) *Store {
 		buf := trace.NewBuffer(0)
 		rec := NewStore(buf)
 		for _, e := range events {
 			buf.Emit(e)
 		}
-		for j := uint64(1); j <= copies; j++ {
-			for _, e := range events[2:] {
-				e.Cycle += j * period
-				buf.Emit(e)
+		if repeated {
+			if got := buf.Repeat(2, copies, period); got != copies {
+				t.Fatalf("Repeat recorded %d copies, want %d", got, copies)
+			}
+		} else {
+			for j := uint64(1); j <= copies; j++ {
+				for _, e := range events[2:] {
+					e.Cycle += j * period
+					buf.Emit(e)
+				}
 			}
 		}
 		buf.Emit(tail)
@@ -216,14 +235,19 @@ func TestSuffixCheckRepeatedCopies(t *testing.T) {
 		}
 		return rec
 	}
-	if err := replay(record()); err != nil {
-		t.Fatalf("untampered recording: %v", err)
-	}
-	for i := range record().Len() {
-		rec := record()
-		rec.events[i].Cycle++
-		if err := replay(rec); (err != nil) != (i >= 1) {
-			t.Errorf("recording changed at event %d: suffix check error %v", i, err)
+	for _, repeated := range []bool{false, true} {
+		if err := replay(record(repeated)); err != nil {
+			t.Fatalf("untampered recording (repeated %v): %v", repeated, err)
+		}
+		if segs := len(record(repeated).segs); (segs == 1) != repeated || segs > 1 {
+			t.Fatalf("recording (repeated %v) holds %d segments", repeated, segs)
+		}
+		for i := range record(repeated).Len() {
+			rec := record(repeated)
+			rec.slot(i).Cycle++
+			if err := replay(rec); (err != nil) != (i >= 1) {
+				t.Errorf("recording (repeated %v) changed at event %d: suffix check error %v", repeated, i, err)
+			}
 		}
 	}
 }
@@ -286,20 +310,31 @@ func TestLastWriterGolden(t *testing.T) {
 
 // TestWatchRejectsWrappingRanges: a range that is empty or runs past
 // 0xffffffff is an error naming it, not a wrapped or truncated watch,
-// for both range queries; a range ending exactly at 0xffffffff is fine.
+// for both range queries, and so is a watch whose cycle range ends
+// before it starts, before it re-executes anything; a range ending
+// exactly at 0xffffffff is fine.
 func TestWatchRejectsWrappingRanges(t *testing.T) {
 	s := golden(t, "")
 	for _, c := range []struct {
-		addr uint32
-		n    int
-		want string
+		addr     uint32
+		n        int
+		from, to uint64 // the watch's cycle range; LastWriter is asked only when both are 0
+		want     string
 	}{
-		{0xffffffff, 8, "debug: range 0xffffffff+8: want a positive length that ends at or below 0xffffffff"},
-		{0x20000000, 99999999999, "debug: range 0x20000000+99999999999: want a positive length that ends at or below 0xffffffff"},
-		{0x20000000, 0, "debug: range 0x20000000+0: want a positive length that ends at or below 0xffffffff"},
+		{0xffffffff, 8, 0, 0, "debug: range 0xffffffff+8: want a positive length that ends at or below 0xffffffff"},
+		{0x20000000, 99999999999, 0, 0, "debug: range 0x20000000+99999999999: want a positive length that ends at or below 0xffffffff"},
+		{0x20000000, 0, 0, 0, "debug: range 0x20000000+0: want a positive length that ends at or below 0xffffffff"},
+		{0x20000000, 4, 10, 5, "debug: watch cycle range [10, 5] is empty: it starts after it ends"},
 	} {
-		if _, err := s.Watch(c.addr, c.n, 0, 0); err == nil || err.Error() != c.want {
-			t.Errorf("Watch(%#x, %d): error %v, want %q", c.addr, c.n, err, c.want)
+		reexecs := s.reexecs
+		if _, err := s.Watch(c.addr, c.n, c.from, c.to); err == nil || err.Error() != c.want {
+			t.Errorf("Watch(%#x, %d, %d, %d): error %v, want %q", c.addr, c.n, c.from, c.to, err, c.want)
+		}
+		if s.reexecs != reexecs {
+			t.Errorf("Watch(%#x, %d, %d, %d) re-executed the run before refusing it", c.addr, c.n, c.from, c.to)
+		}
+		if c.from != 0 || c.to != 0 {
+			continue
 		}
 		if _, err := s.LastWriter(c.addr, c.n, 20000); err == nil || err.Error() != c.want {
 			t.Errorf("LastWriter(%#x, %d): error %v, want %q", c.addr, c.n, err, c.want)
@@ -450,9 +485,20 @@ func TestSnapshotIDStableAcrossBackends(t *testing.T) {
 // produces cycle regressions — which the buffer counts and the indexed
 // store refuses to ingest. Fresh-buffer recordings stay clean.
 func TestStoreRefusesStaleBuffer(t *testing.T) {
-	s := golden(t, "")
-	if s.Store().regressions != 0 || s.store.buf.CycleRegressions() != 0 {
-		t.Fatalf("clean recording counted %d regressions", s.store.buf.CycleRegressions())
+	var recording *trace.Buffer
+	cfg := goldenConfig(t, "")
+	cfg.hook = func(buf *trace.Buffer) func(*mach.Machine) {
+		if recording == nil {
+			recording = buf
+		}
+		return func(*mach.Machine) {}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Store().regressions != 0 || recording.CycleRegressions() != 0 {
+		t.Fatalf("clean recording counted %d regressions, its store %d", recording.CycleRegressions(), s.Store().regressions)
 	}
 
 	buf := trace.NewBuffer(0)
@@ -482,6 +528,53 @@ func TestStoreRefusesStaleBuffer(t *testing.T) {
 	if err := chk.err(); err == nil || !strings.Contains(err.Error(), "non-monotonic") {
 		t.Fatalf("seek's suffix check accepted a non-monotonic replay: %v", err)
 	}
+}
+
+// busProbe is attached to a bus so that a finalizer can tell when the
+// bus is collected: a bus and its write collector reference each
+// other, and the runtime runs no finalizer set in a cycle.
+type busProbe struct{ _ [4]uint64 }
+
+func (*busProbe) HandleEvent(trace.Event)                    {}
+func (*busProbe) HandleRepeat([]trace.Event, uint64, uint64) {}
+
+// TestFinishedSessionPinsNoBus: once a session's recording and query
+// have returned, neither its machine nor its sealed store holds a
+// trace bus or a watch hook, so the recording's ring and the query's
+// ring and write collector can all be collected.
+func TestFinishedSessionPinsNoBus(t *testing.T) {
+	var freed atomic.Int32
+	buses := 0
+	cfg := goldenConfig(t, "")
+	cfg.hook = func(buf *trace.Buffer) func(*mach.Machine) {
+		buses++
+		p := &busProbe{}
+		runtime.SetFinalizer(p, func(*busProbe) { freed.Add(1) })
+		buf.Attach(p)
+		return func(*mach.Machine) {}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, n, err := s.ResolveGlobal("KEY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Watch(addr, n, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.m.Trace != nil || s.m.Bus.MPU.Trace != nil || s.store.buf != nil {
+		t.Fatalf("after the watch: machine trace %p, MPU trace %p, store bus %p; want none", s.m.Trace, s.m.Bus.MPU.Trace, s.store.buf)
+	}
+	for i := 0; i < 200 && int(freed.Load()) < buses; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := int(freed.Load()); got != buses {
+		t.Errorf("%d of the session's %d execution buses are still reachable", buses-got, buses)
+	}
+	runtime.KeepAlive(s) // the session, not only its buses, must outlive the collections
 }
 
 // TestStoreIndexes checks the store's lazily built indexes on the
@@ -664,7 +757,7 @@ func TestDebugCounters(t *testing.T) {
 	}
 	for _, name := range []string{
 		"debug.queries", "debug.query_ns", "debug.reexecs",
-		"debug.store.events", "debug.store.dropped",
+		"debug.store.events", "debug.store.segments", "debug.store.dropped",
 		"debug.store.kind_buckets", "debug.store.domain_buckets",
 		"debug.keyframes.held", "debug.keyframes.evicted", "debug.keyframes.stride",
 	} {

@@ -57,31 +57,46 @@ func (v *verifier) bind(m *mach.Machine, boot bool) {
 // suffixCheck compares a re-execution's events with the recording as
 // they are emitted, from stream index from on. A replayed event passes
 // when it equals the recorded struct and its name ids resolve to equal
-// names in the two buffers' tables — everything the text renderer
+// names in the two streams' tables — everything the text renderer
 // reads — and otherwise when the two rendered lines are equal, so the
 // check accepts exactly what comparing the rendered suffixes would.
+// It reads the recording through a cursor, in stream order.
 type suffixCheck struct {
 	rec  *Store
 	buf  *trace.Buffer // the re-execution's bus
 	from int
 	diff bool // some event at or after from differs
+	cur  cursor
 }
 
 func (c *suffixCheck) HandleEvent(e trace.Event) {
 	c.check(int(c.buf.Emitted()), e) // Emit hands events to handlers before counting them
 }
 
-// HandleRepeat checks each shifted copy of a repeated window against
-// the recording (trace.Repeater). Repeat, like Emit, hands the copies
-// over before counting them.
+// HandleRepeat checks the k shifted copies of a repeated window
+// against the recording (trace.Repeater). Where they fall in a
+// recorded segment with the same window length and period, both
+// streams add period to an event's cycle every n events, so checking n
+// of the copies' events against the segment checks them all: a struct
+// or a rendered line stays equal when both cycles shift alike.
+// Elsewhere each event is checked in turn. Repeat, like Emit, hands
+// the copies over before counting them.
 func (c *suffixCheck) HandleRepeat(w []trace.Event, k, period uint64) {
-	i := int(c.buf.Emitted())
-	for j := uint64(1); j <= k; j++ {
-		for _, e := range w {
-			e.Cycle += j * period
-			c.check(i, e)
-			i++
+	n, i0 := len(w), int(c.buf.Emitted())
+	end := min(i0+int(k)*n, c.rec.Len())
+	for i := max(i0, c.from); i < end && !c.diff; {
+		seg, stop := c.cur.piece(c.rec, i)
+		stop = min(stop, end)
+		last := stop
+		if seg != nil && seg.n == n && seg.period == period {
+			last = min(i+n, stop)
 		}
+		for ; i < last; i++ {
+			e := w[(i-i0)%n]
+			e.Cycle += uint64((i-i0)/n+1) * period
+			c.check(i, e)
+		}
+		i = stop
 	}
 }
 
@@ -92,11 +107,11 @@ func (c *suffixCheck) check(i int, e trace.Event) {
 	if i < c.from || i >= c.rec.Len() || c.diff {
 		return
 	}
-	r, rec := c.rec.Event(i), c.rec.buf
-	if r == e && rec.Name(r.Arg) == c.buf.Name(e.Arg) && rec.Name(r.Arg2) == c.buf.Name(e.Arg2) {
+	r, names := c.cur.event(c.rec, i), c.rec.names
+	if r == e && names.Name(r.Arg) == c.buf.Name(e.Arg) && names.Name(r.Arg2) == c.buf.Name(e.Arg2) {
 		return
 	}
-	c.diff = c.rec.Render(i) != c.buf.RenderEvent(e)
+	c.diff = names.RenderEvent(r) != c.buf.RenderEvent(e)
 }
 
 // err reports, once the re-execution has ended, whether its stream was
@@ -296,10 +311,13 @@ func (s *Session) renderRec(r watchRec) string {
 // Watch reports every write attempt overlapping [addr, addr+n) in the
 // cycle range [from, to] (to == 0 means end of run), with the PC,
 // operation and protection verdict of each — the data-watchpoint
-// query.
+// query. A range that ends before it starts is an error.
 func (s *Session) Watch(addr uint32, n int, from, to uint64) (string, error) {
 	if err := checkRange(addr, n); err != nil {
 		return "", err
+	}
+	if to != 0 && from > to {
+		return "", fmt.Errorf("debug: watch cycle range [%d, %d] is empty: it starts after it ends", from, to)
 	}
 	return s.timed(func() (string, error) {
 		recs, err := s.collect(addr, n)

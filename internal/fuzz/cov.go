@@ -48,6 +48,16 @@ func NewCovSink() *CovSink {
 	return &CovSink{hits: make([]uint8, EdgeSpace)}
 }
 
+// Reset empties the sink for the next trial, as NewCovSink would, by
+// clearing only the edges the last trial touched.
+func (s *CovSink) Reset() {
+	for _, e := range s.touched {
+		s.hits[e] = 0
+	}
+	s.touched = s.touched[:0]
+	s.prev = 0
+}
+
 // mix is a deterministic multiply-xor hash of one coverage point.
 func mix(a, b uint32) uint32 {
 	h := a*0x9E3779B1 ^ b*0x85EBCA77

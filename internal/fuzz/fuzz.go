@@ -64,9 +64,9 @@ type Options struct {
 	// Backend selects the execution backend ("" = interpreter).
 	Backend string
 
-	// sink, when set, wraps each trial's coverage sink before it is
-	// attached; tests use it to observe trials and to hide the sink's
-	// trace.Repeater half.
+	// sink, when set, wraps the coverage sink before each trial
+	// attaches it; tests use it to observe trials and to hide the
+	// sink's trace.Repeater half.
 	sink func(*CovSink) trace.Handler
 }
 
@@ -206,6 +206,11 @@ func Run(opts Options) (*Report, error) {
 	global := newFeatureSet()
 	batch := make([]pending, 0, batchSize)
 	results := make([]trialResult, batchSize)
+	// One coverage sink per worker forge, reset between its trials.
+	sinks := make([]*CovSink, par)
+	for i := range sinks {
+		sinks[i] = NewCovSink()
+	}
 
 	for rep.Inputs < opts.Budget {
 		n := opts.Budget - rep.Inputs
@@ -221,7 +226,7 @@ func Run(opts Options) (*Report, error) {
 		// Execution: fan out over the worker forges. Each trial is a
 		// pure function of (checkpoint, spec), so assignment order
 		// cannot matter.
-		runBatch(forges, batch[:n], results[:n], opts, rep.TrialCycles)
+		runBatch(forges, sinks, batch[:n], results[:n], opts, rep.TrialCycles)
 		// Merge: input-index order decides edge novelty, corpus
 		// retention and finding order.
 		for i := 0; i < n; i++ {
@@ -355,11 +360,12 @@ func schedule(rng *rand.Rand, n int) int {
 }
 
 // runBatch executes batch over the worker forges, one goroutine per
-// forge, writing into index-addressed result slots.
-func runBatch(forges []*inject.Forge, batch []pending, results []trialResult, opts Options, maxCycles uint64) {
-	runOne := func(f *inject.Forge, p pending, r *trialResult) {
+// forge and its coverage sink, writing into index-addressed result
+// slots.
+func runBatch(forges []*inject.Forge, sinks []*CovSink, batch []pending, results []trialResult, opts Options, maxCycles uint64) {
+	runOne := func(f *inject.Forge, sink *CovSink, p pending, r *trialResult) {
 		buf := trace.NewBuffer(256)
-		sink := NewCovSink()
+		sink.Reset()
 		if opts.sink != nil {
 			buf.Attach(opts.sink(sink))
 		} else {
@@ -370,7 +376,7 @@ func runBatch(forges []*inject.Forge, batch []pending, results []trialResult, op
 	}
 	if len(forges) == 1 || len(batch) == 1 {
 		for i := range batch {
-			runOne(forges[0], batch[i], &results[i])
+			runOne(forges[0], sinks[0], batch[i], &results[i])
 		}
 		return
 	}
@@ -378,12 +384,12 @@ func runBatch(forges []*inject.Forge, batch []pending, results []trialResult, op
 	var wg sync.WaitGroup
 	for w := 0; w < len(forges); w++ {
 		wg.Add(1)
-		go func(f *inject.Forge) {
+		go func(f *inject.Forge, sink *CovSink) {
 			defer wg.Done()
 			for i := range idx {
-				runOne(f, batch[i], &results[i])
+				runOne(f, sink, batch[i], &results[i])
 			}
-		}(forges[w])
+		}(forges[w], sinks[w])
 	}
 	for i := range batch {
 		idx <- i

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -276,38 +277,81 @@ func TestCovSinkRepeatMatchesEvents(t *testing.T) {
 	}
 }
 
-// eventsOnly hides a coverage sink's trace.Repeater half, so every
-// poll iteration of its trial executes.
-type eventsOnly struct{ *CovSink }
+// TestCovSinkResetMatchesFresh feeds one sink random streams of
+// coverage and other events with repeated windows, resetting it
+// between streams, and requires after each the features a fresh sink
+// folds from the same stream.
+func TestCovSinkResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	kinds := []trace.Kind{trace.EvBranch, trace.EvCall, trace.EvGateEnter, trace.EvGateReject, trace.EvPhase}
+	ev := func() trace.Event {
+		return trace.Event{Kind: kinds[rng.Intn(len(kinds))], Op: int32(rng.Intn(3)), Arg: uint32(rng.Intn(40)), Arg2: uint32(rng.Intn(8))}
+	}
+	reused := NewCovSink()
+	for stream := 0; stream < 200; stream++ {
+		fresh := NewCovSink()
+		reused.Reset()
+		for step := rng.Intn(60); step > 0; step-- {
+			if rng.Intn(4) > 0 {
+				e := ev()
+				fresh.HandleEvent(e)
+				reused.HandleEvent(e)
+				continue
+			}
+			w := make([]trace.Event, 1+rng.Intn(4))
+			for i := range w {
+				w[i] = ev()
+			}
+			k := uint64(rng.Intn(300))
+			fresh.HandleRepeat(w, k, 3)
+			reused.HandleRepeat(w, k, 3)
+		}
+		if got, want := reused.Features(), fresh.Features(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream %d: reset sink folds\n  %v\nfresh sink\n  %v", stream, got, want)
+		}
+	}
+}
 
-func (s eventsOnly) HandleEvent(e trace.Event) { s.CovSink.HandleEvent(e) }
+// eventsOnly hands every event to a trial's coverage sink and to a
+// fresh sink of the test's own, and hides their trace.Repeater half, so
+// every poll iteration of the trial executes.
+type eventsOnly struct{ trial, own *CovSink }
 
-// countRepeats passes a coverage sink through, counting the repeated
-// windows it absorbs.
+func (s eventsOnly) HandleEvent(e trace.Event) {
+	s.trial.HandleEvent(e)
+	s.own.HandleEvent(e)
+}
+
+// countRepeats hands everything to a trial's coverage sink and to the
+// test's own, counting the repeated windows they absorb.
 type countRepeats struct {
-	*CovSink
+	eventsOnly
 	calls *int
 }
 
 func (s countRepeats) HandleRepeat(w []trace.Event, k, period uint64) {
 	*s.calls++
-	s.CovSink.HandleRepeat(w, k, period)
+	s.trial.HandleRepeat(w, k, period)
+	s.own.HandleRepeat(w, k, period)
 }
 
 // campaignFeatures runs a single-worker campaign, so trials run in
 // input order, and returns its report, every input's features and how
-// many windows the sinks absorbed in closed form.
+// many windows the sinks absorbed in closed form. The campaign resets
+// one sink per worker between trials, so each input's features are
+// read from a fresh sink the test hands the same stream.
 func campaignFeatures(t *testing.T, opts Options, hide bool) (*Report, [][]uint32, int) {
 	t.Helper()
 	var sinks []*CovSink
 	repeats := 0
 	opts.Parallel = 1
 	opts.sink = func(s *CovSink) trace.Handler {
-		sinks = append(sinks, s)
+		own := NewCovSink()
+		sinks = append(sinks, own)
 		if hide {
-			return eventsOnly{s}
+			return eventsOnly{s, own}
 		}
-		return countRepeats{s, &repeats}
+		return countRepeats{eventsOnly{s, own}, &repeats}
 	}
 	rep, err := Run(opts)
 	if err != nil {

@@ -221,11 +221,19 @@ func (c *Context) Fork(opts Options) (*Result, error) {
 		return nil, err
 	}
 	c.rt.setPolicy(opts.Policy)
+	// A finished run lets go of its observers — the trace bus and any
+	// watch hook Arm set — instead of pinning them until the next
+	// fork's restore clears them.
 	if opts.Trace != nil {
 		c.rt.AttachTrace(opts.Trace)
+		defer c.rt.AttachTrace(nil)
 	}
 	if opts.Arm != nil {
 		opts.Arm(m)
+		defer func() {
+			m.SetStoreWatch(nil)
+			m.Bus.SetRawWatch(nil)
+		}()
 	}
 	res := &Result{Machine: m, Read: reader(m, c.Inst)}
 	c.rt.result(res)

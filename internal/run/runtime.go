@@ -15,7 +15,8 @@ import (
 type runtime interface {
 	// Run executes main.
 	Run() error
-	// AttachTrace connects the runtime and its machine to buf.
+	// AttachTrace connects the runtime and its machine to buf; nil
+	// disconnects them.
 	AttachTrace(buf *trace.Buffer)
 
 	// machine is the machine the runtime booted.

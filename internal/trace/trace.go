@@ -252,7 +252,12 @@ func (b *Buffer) Attach(h Handler) {
 func (b *Buffer) Repeatable() bool { return b == nil || !b.needsEvents }
 
 // Intern returns the stable id for name, assigning one on first use.
+// A nil buffer interns nothing and returns 0, the id that renders as
+// "?", so attaching a nil bus detaches the previous one.
 func (b *Buffer) Intern(name string) uint32 {
+	if b == nil {
+		return 0
+	}
 	if id, ok := b.ids[name]; ok {
 		return id
 	}
@@ -263,15 +268,22 @@ func (b *Buffer) Intern(name string) uint32 {
 }
 
 // Name resolves an interned id.
-func (b *Buffer) Name(id uint32) string {
-	if int(id) < len(b.names) {
-		return b.names[id]
-	}
-	return "?"
-}
+func (b *Buffer) Name(id uint32) string { return NameTable(b.names).Name(id) }
 
 // Names returns the name table (index = id).
 func (b *Buffer) Names() []string { return b.names }
+
+// NameTable is a recorded stream's interned names, index = id: what
+// rendering its events needs once the bus that interned them is gone.
+type NameTable []string
+
+// Name resolves an interned id ("?" for one the table does not hold).
+func (t NameTable) Name(id uint32) string {
+	if int(id) < len(t) {
+		return t[id]
+	}
+	return "?"
+}
 
 // Emit records e. Nil receivers drop the event (tracing disabled); a
 // full ring overwrites the oldest event and accounts the drop.
@@ -323,7 +335,7 @@ func (b *Buffer) Repeat(n, k, period uint64) uint64 {
 	if k == 0 {
 		return 0
 	}
-	regressions, high := repeatCycles(w, k, period, b.lastCycle)
+	regressions, high := RepeatCycles(w, k, period, b.lastCycle)
 	b.cycleRegressions += regressions
 	b.lastCycle = high
 	for _, h := range b.sinks {
@@ -344,7 +356,7 @@ func (b *Buffer) Repeat(n, k, period uint64) uint64 {
 	return k
 }
 
-// repeatCycles returns the cycle regressions that k shifted copies of
+// RepeatCycles returns the cycle regressions that k shifted copies of
 // w add to a stream whose high-water mark is last, and the high-water
 // mark after them. A poll window adds none, but the count exists to
 // expose a machine restored under a stale buffer, so it must come out
@@ -353,7 +365,7 @@ func (b *Buffer) Repeat(n, k, period uint64) uint64 {
 // below an earlier event of w (the same in every copy), when c+period
 // is below w's latest event (copy j-1 ended above it), or while
 // c+j·period is below last.
-func repeatCycles(w []Event, k, period, last uint64) (regressions, high uint64) {
+func RepeatCycles(w []Event, k, period, last uint64) (regressions, high uint64) {
 	var top uint64
 	for _, e := range w {
 		if e.Cycle > top {
@@ -455,7 +467,7 @@ func (b *Buffer) RenderText() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "trace: %d events (%d dropped)\n", b.Len(), b.Dropped())
 	for _, e := range b.Events() {
-		sb.WriteString(b.renderEvent(e))
+		sb.WriteString(b.RenderEvent(e))
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -465,10 +477,11 @@ func (b *Buffer) RenderText() string {
 // format, with interned names resolved against this buffer's table —
 // the primitive the time-travel debugger's byte-identity suffix
 // comparison and event listings are built on.
-func (b *Buffer) RenderEvent(e Event) string { return b.renderEvent(e) }
+func (b *Buffer) RenderEvent(e Event) string { return NameTable(b.names).RenderEvent(e) }
 
-// renderEvent formats one event with interned names resolved.
-func (b *Buffer) renderEvent(e Event) string {
+// RenderEvent formats one event as Buffer.RenderEvent does, with
+// interned names resolved against t.
+func (t NameTable) RenderEvent(e Event) string {
 	switch e.Kind {
 	case EvExcEntry, EvExcReturn:
 		cls := [...]string{"?", "svc", "fault", "irq"}
@@ -478,7 +491,7 @@ func (b *Buffer) renderEvent(e Event) string {
 		}
 		return fmt.Sprintf("%10d %-13s class=%s dur=%d", e.Cycle, e.Kind, c, e.Dur)
 	case EvIRQ:
-		return fmt.Sprintf("%10d %-13s handler=%s", e.Cycle, e.Kind, b.Name(e.Arg))
+		return fmt.Sprintf("%10d %-13s handler=%s", e.Cycle, e.Kind, t.Name(e.Arg))
 	case EvFault:
 		kind, write, region := UnpackFaultInfo(e.Arg2)
 		dir := "read"
@@ -489,17 +502,17 @@ func (b *Buffer) renderEvent(e Event) string {
 	case EvFaultHandled:
 		return fmt.Sprintf("%10d %-13s action=%d", e.Cycle, e.Kind, e.Arg)
 	case EvCall:
-		return fmt.Sprintf("%10d %-13s %s -> %s", e.Cycle, e.Kind, b.Name(e.Arg2), b.Name(e.Arg))
+		return fmt.Sprintf("%10d %-13s %s -> %s", e.Cycle, e.Kind, t.Name(e.Arg2), t.Name(e.Arg))
 	case EvCallRet:
-		return fmt.Sprintf("%10d %-13s %s", e.Cycle, e.Kind, b.Name(e.Arg))
+		return fmt.Sprintf("%10d %-13s %s", e.Cycle, e.Kind, t.Name(e.Arg))
 	case EvGateEnter:
-		return fmt.Sprintf("%10d %-13s gate=%s op=%d relocs=%d", e.Cycle, e.Kind, b.Name(e.Arg), e.Op, e.Arg2)
+		return fmt.Sprintf("%10d %-13s gate=%s op=%d relocs=%d", e.Cycle, e.Kind, t.Name(e.Arg), e.Op, e.Arg2)
 	case EvGateExit:
-		return fmt.Sprintf("%10d %-13s gate=%s op=%d", e.Cycle, e.Kind, b.Name(e.Arg), e.Op)
+		return fmt.Sprintf("%10d %-13s gate=%s op=%d", e.Cycle, e.Kind, t.Name(e.Arg), e.Op)
 	case EvGateReject:
-		return fmt.Sprintf("%10d %-13s gate=%s reason=%d", e.Cycle, e.Kind, b.Name(e.Arg), e.Arg2)
+		return fmt.Sprintf("%10d %-13s gate=%s reason=%d", e.Cycle, e.Kind, t.Name(e.Arg), e.Arg2)
 	case EvOpActivate:
-		return fmt.Sprintf("%10d %-13s op=%s id=%d", e.Cycle, e.Kind, b.Name(e.Arg), e.Op)
+		return fmt.Sprintf("%10d %-13s op=%s id=%d", e.Cycle, e.Kind, t.Name(e.Arg), e.Op)
 	case EvMPURegion:
 		return fmt.Sprintf("%10d %-13s region=%d base=%#08x", e.Cycle, e.Kind, e.Arg, e.Arg2)
 	case EvMPUEnable:
@@ -511,7 +524,7 @@ func (b *Buffer) renderEvent(e Event) string {
 		if e.Arg2 != 0 {
 			verdict = "reject"
 		}
-		return fmt.Sprintf("%10d %-13s var=%s %s", e.Cycle, e.Kind, b.Name(e.Arg), verdict)
+		return fmt.Sprintf("%10d %-13s var=%s %s", e.Cycle, e.Kind, t.Name(e.Arg), verdict)
 	case EvPhase:
 		return fmt.Sprintf("%10d %-13s %s dur=%d", e.Cycle, e.Kind, Phase(e.Arg), e.Dur)
 	case EvRecovery:
@@ -522,7 +535,7 @@ func (b *Buffer) renderEvent(e Event) string {
 		}
 		return fmt.Sprintf("%10d %-13s %s attempt=%d dur=%d", e.Cycle, e.Kind, a, e.Arg2, e.Dur)
 	case EvBranch:
-		return fmt.Sprintf("%10d %-13s fn=%s blk=%d", e.Cycle, e.Kind, b.Name(e.Arg), e.Arg2)
+		return fmt.Sprintf("%10d %-13s fn=%s blk=%d", e.Cycle, e.Kind, t.Name(e.Arg), e.Arg2)
 	}
 	return fmt.Sprintf("%10d %-13s arg=%d arg2=%d op=%d dur=%d", e.Cycle, e.Kind, e.Arg, e.Arg2, e.Op, e.Dur)
 }
