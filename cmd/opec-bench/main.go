@@ -46,12 +46,8 @@ func main() {
 	injectEngine := flag.String("inject-engine", "fork", "trial engine for -exp inject: fork (boot once per row, fork every trial) | boot (power-on per trial) | diff (run both, exit non-zero unless byte-identical)")
 	benchjson := flag.String("benchjson", "", "write the simulator-throughput baseline (BENCH_mach.json) to this file; implies -exp bench unless another experiment is named")
 	validate := flag.String("validate", "", "validate an existing BENCH_mach.json and exit")
-	backend := flag.String("backend", "", "execution backend: interp | xlat (default: OPEC_MACH_BACKEND, else interp); results are byte-identical, only wall-clock differs")
 	flag.Parse()
 
-	if *backend != "" { // leave the OPEC_MACH_BACKEND default in place otherwise
-		fail(opec.SetExecBackend(*backend))
-	}
 	pol, err := opec.ParsePolicy(*policy)
 	fail(err)
 	engine, err := parseEngine(*injectEngine)
@@ -185,7 +181,7 @@ func main() {
 	// Not part of -exp all: a fuzzing campaign's cost is set by its
 	// budget, not the sweep's shape.
 	if strings.EqualFold(*exp, "fuzz") {
-		rep, err := h.Fuzz(scale, *seed, *fuzzBudget, *fuzzRandom, pol, *backend)
+		rep, err := h.Fuzz(scale, *seed, *fuzzBudget, *fuzzRandom, pol)
 		fail(err)
 		fmt.Print(opec.RenderFuzz(rep))
 		quickFlag := ""

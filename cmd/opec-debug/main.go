@@ -45,7 +45,6 @@ func main() {
 	replaySpec := flag.String("replay", "", "debug one fork-engine finding from '<snapshot-id>@<spec>'")
 	policy := flag.String("policy", "abort", "recovery policy under -inject/-replay: abort | restart | quarantine")
 	maxCycles := flag.Uint64("max-cycles", 0, "cycle budget (0 = the workload's own); replaying a hung finding needs its campaign budget")
-	backend := flag.String("backend", "", "execution backend: interp | xlat (default: OPEC_MACH_BACKEND, else interp)")
 	keyEvery := flag.Uint64("keyframe-every", 0, "cycles between periodic keyframes (0 = default)")
 	maxKeys := flag.Int("max-keyframes", 0, "held keyframes before decimation (0 = default)")
 	traceCap := flag.Int("trace-cap", 0, "recording ring capacity (0 = default; the indexed store is complete either way)")
@@ -79,7 +78,6 @@ func main() {
 	cfg := opec.DebugConfig{
 		App:           app,
 		MaxCycles:     *maxCycles,
-		Backend:       *backend,
 		KeyframeEvery: *keyEvery,
 		MaxKeyframes:  *maxKeys,
 		TraceCap:      *traceCap,

@@ -62,15 +62,7 @@ func main() {
 	replaySpec := flag.String("replay", "", "replay one fork-engine campaign trial from '<snapshot-id>@<spec>'")
 	policy := flag.String("policy", "abort", "recovery policy under -inject/-replay: abort | restart | quarantine")
 	maxCycles := flag.Uint64("max-cycles", 0, "cycle budget for -inject/-replay trials (0 = unlimited); fuzzing campaigns print their trial budget, and replaying a hung finding needs the same budget to reproduce its verdict")
-	backend := flag.String("backend", "", "execution backend: interp | xlat (default: OPEC_MACH_BACKEND, else interp); results are byte-identical, only wall-clock differs")
 	flag.Parse()
-
-	if *backend != "" { // leave the OPEC_MACH_BACKEND default in place otherwise
-		if err := opec.SetExecBackend(*backend); err != nil {
-			fmt.Fprintln(os.Stderr, "opec-run:", err)
-			os.Exit(2)
-		}
-	}
 
 	if *appName == "" {
 		fmt.Fprintln(os.Stderr, "opec-run: -app is required")

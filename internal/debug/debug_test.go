@@ -21,10 +21,10 @@ import (
 // restart policy recovers the operation.
 const keyOverwriteSpec = "store:Lock_Task:1:KEY:0:-1:0xee"
 
-// golden records the §6.1 KEY-overwrite run on the given backend.
-func golden(t *testing.T, backend string) *Session {
+// golden records the §6.1 KEY-overwrite run.
+func golden(t *testing.T) *Session {
 	t.Helper()
-	s, err := New(goldenConfig(t, backend))
+	s, err := New(goldenConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +32,16 @@ func golden(t *testing.T, backend string) *Session {
 }
 
 // goldenConfig configures the §6.1 KEY-overwrite session.
-func goldenConfig(t *testing.T, backend string) Config {
+func goldenConfig(t *testing.T) Config {
 	t.Helper()
 	spec, err := inject.ParseSpec(keyOverwriteSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Config{
-		App:     apps.PinLockN(1),
-		Spec:    &spec,
-		Policy:  monitor.Policy{Kind: monitor.RestartOperation},
-		Backend: backend,
+		App:    apps.PinLockN(1),
+		Spec:   &spec,
+		Policy: monitor.Policy{Kind: monitor.RestartOperation},
 	}
 }
 
@@ -51,7 +50,7 @@ func goldenConfig(t *testing.T, backend string) Config {
 // operation, function, PC, value, verdict — and reports the recovery
 // that followed.
 func TestBlameGoldenKeyOverwrite(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	out, err := s.Blame(0)
 	if err != nil {
 		t.Fatal(err)
@@ -75,38 +74,37 @@ func TestBlameGoldenKeyOverwrite(t *testing.T) {
 // TestSeekGoldenBothBackends is the acceptance sweep: seek to a sample
 // of every region of the golden trace — first events, the fault, the
 // recovery, the final event — restores from the nearest keyframe and
-// proves the regenerated suffix byte-identical, on both backends.
+// proves the regenerated suffix byte-identical. The interp subtest is
+// the one engine left of the two the sweep once ran on.
 func TestSeekGoldenBothBackends(t *testing.T) {
-	for _, backend := range []string{"interp", "xlat"} {
-		t.Run(backend, func(t *testing.T) {
-			s := golden(t, backend)
-			st := s.Store()
-			targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
-			if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
-				targets = append(targets, faults[len(faults)-1])
+	t.Run("interp", func(t *testing.T) {
+		s := golden(t)
+		st := s.Store()
+		targets := []int{0, 1, st.Len() / 4, st.Len() / 2, st.Len() - 1}
+		if faults := st.ByKind(trace.EvFault); len(faults) > 0 {
+			targets = append(targets, faults[len(faults)-1])
+		}
+		if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
+			targets = append(targets, recs[0])
+		}
+		for _, idx := range targets {
+			c := st.Event(idx).Cycle
+			out, err := s.Seek(c)
+			if err != nil {
+				t.Fatalf("seek %d (event %d): %v", c, idx, err)
 			}
-			if recs := st.ByKind(trace.EvRecovery); len(recs) > 0 {
-				targets = append(targets, recs[0])
+			if !strings.Contains(out, "byte-identical") {
+				t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
 			}
-			for _, idx := range targets {
-				c := st.Event(idx).Cycle
-				out, err := s.Seek(c)
-				if err != nil {
-					t.Fatalf("seek %d (event %d): %v", c, idx, err)
-				}
-				if !strings.Contains(out, "byte-identical") {
-					t.Fatalf("seek %d did not verify the suffix:\n%s", c, out)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestSeekPastEndRejected pins the out-of-range diagnostics: a cycle
 // past the last recorded event, and one before the first, where no
 // event is the target.
 func TestSeekPastEndRejected(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	if _, err := s.Seek(s.Store().LastCycle() + 1); err == nil {
 		t.Fatal("seek past the end of the run succeeded")
 	}
@@ -126,7 +124,7 @@ func TestSeekPastEndRejected(t *testing.T) {
 // pins what seek's streaming suffix check refuses: exactly what
 // comparing the rendered suffixes from the keyframe on would.
 func TestSeekStreamingSuffixCheck(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	st := s.Store()
 	c := st.Event(st.Len() / 2).Cycle
 	from := s.Keyframes().Nearest(c).Event
@@ -256,7 +254,7 @@ func TestSuffixCheckRepeatedCopies(t *testing.T) {
 // must show the legitimate monitor-path writes landing and the rogue
 // store denied, each attributed to its operation.
 func TestWatchKeyGolden(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	addr, n, err := s.ResolveGlobal("KEY")
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +285,7 @@ func TestWatchKeyGolden(t *testing.T) {
 // fault, the last landed writer is the legitimate monitor write and the
 // denied rogue attempt is reported alongside.
 func TestLastWriterGolden(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	addr, n, err := s.ResolveGlobal("KEY")
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +312,7 @@ func TestLastWriterGolden(t *testing.T) {
 // before it starts, before it re-executes anything; a range ending
 // exactly at 0xffffffff is fine.
 func TestWatchRejectsWrappingRanges(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	for _, c := range []struct {
 		addr     uint32
 		n        int
@@ -354,7 +352,7 @@ func TestWatchRejectsWrappingRanges(t *testing.T) {
 // the coordinate answers queries byte-identically, and a corrupted
 // snapshot id is rejected.
 func TestReplayCoordinateRoundTrip(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	coord := s.Coordinate()
 	id, specText, ok := strings.Cut(coord, "@")
 	if !ok {
@@ -435,36 +433,70 @@ func TestKeyframeEquivalenceAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestKeyframeDigestsMatchAcrossBackends records the golden run under
-// both backends and compares every keyframe: same cycles, same stream
-// positions, same state digests — the interpreter and the AOT
-// translator checkpoint identical architected states.
+// cleanRun records a clean PinLock run, whose executions consume the
+// proof engine's certificates (an injected trial runs fully checked).
+// With checked set, certificate consumption is disabled while it
+// records (OPEC_MACH_NOPROOF semantics): the MPU adjudicates every
+// access instead.
+func cleanRun(t *testing.T, checked bool) *Session {
+	t.Helper()
+	saved := mach.DisableProofs
+	defer func() { mach.DisableProofs = saved }()
+	mach.DisableProofs = checked
+	s, err := New(Config{App: apps.PinLockN(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// elidedAccesses reads mach.proofs.elided off the session's machine.
+func elidedAccesses(s *Session) uint64 {
+	for _, c := range s.m.Counters() {
+		if c.Name == "mach.proofs.elided" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// TestKeyframeDigestsMatchAcrossBackends records a clean run on the
+// interpreter's two access paths, certified accesses elided and every
+// access checked, and compares every keyframe: same cycles, same stream
+// positions, same state digests. Elision selects a path, never a state.
+// (The name dates from when the other recording ran on a second,
+// translating engine.)
 func TestKeyframeDigestsMatchAcrossBackends(t *testing.T) {
-	a := golden(t, "interp")
-	b := golden(t, "xlat")
+	a := cleanRun(t, false)
+	b := cleanRun(t, true)
+	if elidedAccesses(a) == 0 || elidedAccesses(b) != 0 {
+		t.Fatalf("elided accesses: %d eliding, %d checked; want some, none", elidedAccesses(a), elidedAccesses(b))
+	}
 	fa, fb := a.Keyframes().Frames(), b.Keyframes().Frames()
 	if len(fa) != len(fb) {
-		t.Fatalf("keyframe counts differ: interp=%d xlat=%d", len(fa), len(fb))
+		t.Fatalf("keyframe counts differ: elided=%d checked=%d", len(fa), len(fb))
 	}
 	for i := range fa {
 		if fa[i].Cycle != fb[i].Cycle || fa[i].Event != fb[i].Event ||
 			fa[i].State.Digest() != fb[i].State.Digest() {
-			t.Errorf("keyframe %d differs: interp {cycle=%d event=%d %s} xlat {cycle=%d event=%d %s}",
+			t.Errorf("keyframe %d differs: elided {cycle=%d event=%d %s} checked {cycle=%d event=%d %s}",
 				i, fa[i].Cycle, fa[i].Event, fa[i].State.Digest(),
 				fb[i].Cycle, fb[i].Event, fb[i].State.Digest())
 		}
 	}
 }
 
-// TestSnapshotIDStableAcrossBackends runs the golden trial to
-// completion under both backends and snapshots the final architected
-// state: the content-addressed ids must agree, so replay coordinates
-// are backend-independent end to end.
+// TestSnapshotIDStableAcrossBackends runs a clean trial to completion
+// with certified accesses elided and with every access checked, and
+// snapshots the final architected state: the content-addressed ids
+// must agree, so a replay coordinate taken under OPEC_MACH_NOPROOF
+// names the same state without it. (The name dates from when the other
+// run used a second, translating engine.)
 func TestSnapshotIDStableAcrossBackends(t *testing.T) {
-	a := golden(t, "interp")
-	b := golden(t, "xlat")
+	a := cleanRun(t, false)
+	b := cleanRun(t, true)
 	if a.SnapshotID() != b.SnapshotID() {
-		t.Fatalf("boot snapshot ids differ: interp=%s xlat=%s", a.SnapshotID(), b.SnapshotID())
+		t.Fatalf("boot snapshot ids differ: elided=%s checked=%s", a.SnapshotID(), b.SnapshotID())
 	}
 	sa, err := a.m.Snapshot()
 	if err != nil {
@@ -475,7 +507,7 @@ func TestSnapshotIDStableAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sa.ID() != sb.ID() {
-		t.Errorf("post-run snapshot ids differ: interp=%s xlat=%s", sa.ID(), sb.ID())
+		t.Errorf("post-run snapshot ids differ: elided=%s checked=%s", sa.ID(), sb.ID())
 	}
 }
 
@@ -486,7 +518,7 @@ func TestSnapshotIDStableAcrossBackends(t *testing.T) {
 // store refuses to ingest. Fresh-buffer recordings stay clean.
 func TestStoreRefusesStaleBuffer(t *testing.T) {
 	var recording *trace.Buffer
-	cfg := goldenConfig(t, "")
+	cfg := goldenConfig(t)
 	cfg.hook = func(buf *trace.Buffer) func(*mach.Machine) {
 		if recording == nil {
 			recording = buf
@@ -545,7 +577,7 @@ func (*busProbe) HandleRepeat([]trace.Event, uint64, uint64) {}
 func TestFinishedSessionPinsNoBus(t *testing.T) {
 	var freed atomic.Int32
 	buses := 0
-	cfg := goldenConfig(t, "")
+	cfg := goldenConfig(t)
 	cfg.hook = func(buf *trace.Buffer) func(*mach.Machine) {
 		buses++
 		p := &busProbe{}
@@ -582,7 +614,7 @@ func TestFinishedSessionPinsNoBus(t *testing.T) {
 // the stream, and the bucket counts equal the distinct kinds and
 // domains the stream holds.
 func TestStoreIndexes(t *testing.T) {
-	st := golden(t, "").Store()
+	st := golden(t).Store()
 	kinds, doms := map[trace.Kind]bool{}, map[int32]bool{}
 	for i := 0; i < st.Len(); i++ {
 		kinds[st.Event(i).Kind] = true
@@ -653,7 +685,7 @@ func TestKeyframerEviction(t *testing.T) {
 // run of plain events therefore adds no interval captures. A negative
 // bound is refused when the session is configured.
 func TestKeyframerSmallBounds(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	for _, bound := range []int{1, 2, 4} {
 		k := &Keyframer{Max: bound}
 		k.Bind(s.m)
@@ -695,7 +727,7 @@ func TestKeyframerSmallBounds(t *testing.T) {
 // their own events, and a window holding a gate entry, fault or
 // recovery must not repeat at all.
 func TestKeyframerRepeatLimit(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	for _, kind := range []trace.Kind{trace.EvCall, trace.EvGateEnter, trace.EvFault, trace.EvRecovery} {
 		fast, ref := &Keyframer{Every: 50}, &Keyframer{Every: 50}
 		fast.Bind(s.m)
@@ -745,7 +777,7 @@ func TestKeyframerRepeatLimit(t *testing.T) {
 // unified registry: query count and timing, re-executions, index sizes
 // and checkpointer state all appear.
 func TestDebugCounters(t *testing.T) {
-	s := golden(t, "")
+	s := golden(t)
 	if _, err := s.Blame(0); err != nil {
 		t.Fatal(err)
 	}

@@ -491,7 +491,7 @@ func (s *Session) blame(c uint64) (string, error) {
 // the replay coordinate a spec run can be re-debugged from.
 func (s *Session) Info() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "session: %s backend=%s\n", s.cfg.App.Name, s.backendName())
+	fmt.Fprintf(&b, "session: %s\n", s.cfg.App.Name)
 	if s.Outcome != nil {
 		fmt.Fprintf(&b, "  trial: %s\n  verdict: %s\n", s.Outcome.Spec, s.Outcome.Verdict)
 		if s.Outcome.Err != "" {
@@ -551,13 +551,6 @@ func (s *Session) Coordinate() string {
 		return ""
 	}
 	return fmt.Sprintf("%s@%s", s.SnapshotID(), s.Outcome.Spec)
-}
-
-func (s *Session) backendName() string {
-	if s.cfg.Backend == "" {
-		return "interp"
-	}
-	return s.cfg.Backend
 }
 
 // VerifyKeyframes re-executes the run once and proves every held

@@ -31,7 +31,6 @@ type Config struct {
 
 	Policy    monitor.Policy
 	MaxCycles uint64
-	Backend   string // "" = interpreter (run.BackendInterp)
 
 	KeyframeEvery uint64 // 0 = DefaultKeyframeEvery
 	MaxKeyframes  int    // 0 = DefaultMaxKeyframes; 1 keeps only the boot frame
@@ -80,7 +79,6 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	forge.Backend = cfg.Backend
 	s := &Session{cfg: cfg, forge: forge}
 	if cfg.WantSnapID != "" && s.SnapshotID() != cfg.WantSnapID {
 		return nil, fmt.Errorf("debug: snapshot id mismatch: rebuilt checkpoint is %s, coordinate names %s (different workload scale or build?)",

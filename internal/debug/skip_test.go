@@ -112,20 +112,18 @@ func sameTriage(t *testing.T, cfg Config, target string, polls bool) {
 // reference differential: recording, blame, seek, watch, last-writer
 // and keyframe verification fast-forward poll loops and must answer
 // byte-identically to a session whose every execution runs each
-// iteration. It covers the §6.1 KEY session on both backends and one
-// recovered rogue-store trial per quick-scale app.
+// iteration. It covers the §6.1 KEY session and one recovered
+// rogue-store trial per quick-scale app.
 func TestSkippingSessionsMatchForced(t *testing.T) {
 	restart := monitor.Policy{Kind: monitor.RestartOperation}
 	spec, err := inject.ParseSpec(keyOverwriteSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"interp", "xlat"} {
-		t.Run("KEY/"+backend, func(t *testing.T) {
-			t.Parallel()
-			sameTriage(t, Config{App: apps.PinLockN(1), Spec: &spec, Policy: restart, Backend: backend}, "KEY", true)
-		})
-	}
+	t.Run("KEY/interp", func(t *testing.T) {
+		t.Parallel()
+		sameTriage(t, Config{App: apps.PinLockN(1), Spec: &spec, Policy: restart}, "KEY", true)
+	})
 	for _, app := range exper.AppsFor(exper.Quick) {
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()

@@ -31,8 +31,9 @@ import (
 // throughput); v6 the backend section (threaded-code translation vs
 // interpreter A/B on the dispatch-bound sweep and every workload); v7
 // the fuzz section (coverage-guided campaign throughput plus the
-// guided-vs-random unique-edge inequality).
-const BenchSchema = "opec-bench/mach/v7"
+// guided-vs-random unique-edge inequality); v8 drops the backend
+// section with the translation engine it measured (DESIGN.md §12).
+const BenchSchema = "opec-bench/mach/v8"
 
 // BenchSchemes is the fixed execution-scheme order of the report.
 var BenchSchemes = []string{"vanilla", "opec", "aces"}
@@ -165,8 +166,6 @@ type BenchReport struct {
 	// Snapshot is the fork-engine latency/throughput/differential
 	// section (schema v5).
 	Snapshot *BenchSnapshot `json:"snapshot"`
-	// Backend is the execution-backend A/B section (schema v6).
-	Backend *BenchBackend `json:"backend"`
 	// Fuzz is the adversarial-fuzzing section (schema v7).
 	Fuzz *BenchFuzz `json:"fuzz"`
 }
@@ -258,11 +257,6 @@ func CollectBench(s AppSet, parallel int) (*BenchReport, error) {
 	}
 	rep.Snapshot = &snap
 
-	rep.Backend, err = measureBackend(s)
-	if err != nil {
-		return nil, fmt.Errorf("bench backend: %w", err)
-	}
-
 	fz, err := measureFuzz(parallel)
 	if err != nil {
 		return nil, fmt.Errorf("bench fuzz: %w", err)
@@ -282,12 +276,12 @@ func measureFuzz(parallel int) (BenchFuzz, error) {
 	h := NewHarness(parallel)
 	pol := monitor.Policy{}
 	start := time.Now()
-	guided, err := h.Fuzz(Quick, FuzzSeed, FuzzBudget, false, pol, "")
+	guided, err := h.Fuzz(Quick, FuzzSeed, FuzzBudget, false, pol)
 	if err != nil {
 		return BenchFuzz{}, err
 	}
 	wall := time.Since(start).Seconds()
-	random, err := h.Fuzz(Quick, FuzzSeed, FuzzBudget, true, pol, "")
+	random, err := h.Fuzz(Quick, FuzzSeed, FuzzBudget, true, pol)
 	if err != nil {
 		return BenchFuzz{}, err
 	}
@@ -683,38 +677,6 @@ func ValidateBenchReport(data []byte) (*BenchReport, error) {
 	}
 	if sn.Speedup < 10 {
 		return nil, fmt.Errorf("bench report: fork-engine speedup %.1fx below the 10x floor", sn.Speedup)
-	}
-
-	// Backend section (v6): the dispatch-bound sweep must clear the
-	// translation-engine speedup floor, and every per-app A/B must have
-	// finished both backends at identical cycle and instruction counts
-	// (the exactness invariant) with sane throughput on both sides.
-	if rep.Backend == nil {
-		return nil, fmt.Errorf("bench report: missing backend section")
-	}
-	bb := rep.Backend
-	if bb.DispatchInstrs == 0 || bb.DispatchInterpSimMIPS <= 0 || bb.DispatchXlatSimMIPS <= 0 {
-		return nil, fmt.Errorf("bench report: degenerate backend dispatch sweep: %+v", bb)
-	}
-	if bb.DispatchSpeedup < BackendSpeedupFloor {
-		return nil, fmt.Errorf("bench report: translation-engine dispatch speedup %.2fx below the %.1fx floor",
-			bb.DispatchSpeedup, float64(BackendSpeedupFloor))
-	}
-	haveBack := make(map[string]BenchBackendApp, len(bb.Apps))
-	for _, a := range bb.Apps {
-		haveBack[a.App] = a
-	}
-	for _, app := range AppsFor(scale) {
-		a, ok := haveBack[app.Name]
-		if !ok {
-			return nil, fmt.Errorf("bench report: missing backend row for %s", app.Name)
-		}
-		if a.InterpSimMIPS <= 0 || a.XlatSimMIPS <= 0 {
-			return nil, fmt.Errorf("bench report: degenerate backend row %s: %+v", app.Name, a)
-		}
-		if !a.CyclesEqual {
-			return nil, fmt.Errorf("bench report: backend row %s: translation engine diverged from the interpreter", app.Name)
-		}
 	}
 
 	// Fuzz section (v7): the guided campaign must have run the standard

@@ -3,6 +3,7 @@ package exper
 import (
 	"testing"
 
+	"opec/internal/mach"
 	"opec/internal/monitor"
 )
 
@@ -53,5 +54,41 @@ func TestInjectForkMatchesBoot(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInjectCampaignBackendIdentity runs the seeded campaign three
+// ways. The oracle is the boot engine on machines without lookup caches
+// (OPEC_MACH_NOCACHE): every trial from power-on, every MPU verdict and
+// device lookup made afresh. The boot engine with its caches on, and
+// the fork engine with its caches on and every elided access
+// re-adjudicated, must match it byte for byte. The fork leg is the
+// end-to-end check that machines forked trial after trial, whose
+// micro-TLB and device cache stay warm between restores, replay
+// exactly. (The name dates from when the other two legs ran on a
+// second, translating engine.)
+func TestInjectCampaignBackendIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign replays every workload in -short mode")
+	}
+	savedP, savedC := mach.ParanoidProofs, mach.DisableCaches
+	defer func() { mach.ParanoidProofs, mach.DisableCaches = savedP, savedC }()
+	cfg := tinyCampaign(11)
+	pol := monitor.Policy{Kind: monitor.RestartOperation}
+
+	table := func(uncached, paranoid bool, engine InjectEngine) string {
+		mach.DisableCaches, mach.ParanoidProofs = uncached, paranoid
+		rows, err := NewHarness(0).InjectWith(Quick, cfg, pol, engine)
+		if err != nil {
+			t.Fatalf("uncached=%v paranoid=%v %v: %v", uncached, paranoid, engine, err)
+		}
+		return RenderInject(rows)
+	}
+	oracle := table(true, false, EngineBoot)
+	if got := table(false, false, EngineBoot); got != oracle {
+		t.Errorf("cached boot campaign differs:\n--- uncached ---\n%s--- cached ---\n%s", oracle, got)
+	}
+	if got := table(false, true, EngineFork); got != oracle {
+		t.Errorf("paranoid fork campaign differs:\n--- uncached boot ---\n%s--- paranoid fork ---\n%s", oracle, got)
 	}
 }

@@ -11,10 +11,9 @@ import (
 // (internal/fuzz) against the frame-queue workload's network stack and
 // the SVC gate surface, with a random ablation proving what coverage
 // feedback buys. Campaigns fork every input from the pre-injection
-// checkpoint and are byte-identical at any parallelism and on either
-// execution backend, so the guided-vs-random edge inequality recorded
-// in BENCH_mach.json is a deterministic fact of (seed, budget), not a
-// statistical claim.
+// checkpoint and are byte-identical at any parallelism, so the
+// guided-vs-random edge inequality recorded in BENCH_mach.json is a
+// deterministic fact of (seed, budget), not a statistical claim.
 
 // FuzzSeed and FuzzBudget are the standard campaign shape: the budget
 // is large enough for guided retention to compound multi-frame
@@ -30,13 +29,13 @@ const (
 // Fuzz runs one fuzzing campaign — guided, or the random ablation —
 // against the scale's frame-queue workload (TCP-Echo, the only
 // workload scripting a network receive queue) at the harness's
-// parallelism. backend "" selects the process-wide default.
-func (h *Harness) Fuzz(s AppSet, seed int64, budget int, random bool, pol monitor.Policy, backend string) (*fuzz.Report, error) {
+// parallelism.
+func (h *Harness) Fuzz(s AppSet, seed int64, budget int, random bool, pol monitor.Policy) (*fuzz.Report, error) {
 	for _, app := range AppsFor(s) {
 		if app.Name == "TCP-Echo" {
 			return fuzz.Run(fuzz.Options{
 				App: app, Seed: seed, Budget: budget, Parallel: h.parallel,
-				Random: random, Policy: pol, Backend: backend,
+				Random: random, Policy: pol,
 			})
 		}
 	}

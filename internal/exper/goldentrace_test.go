@@ -73,6 +73,45 @@ func TestGoldenKeyOverwriteTrace(t *testing.T) {
 	}
 }
 
+// TestGoldenKeyOverwriteTraceXlat extends the golden-trace invariant to
+// a reused forge: after its machine has run other trials — a
+// coverage-traced one among them, as fuzzing runs, and clean ones that
+// consume certificates — the §6.1 exploit's full event stream must
+// render byte-identically to a fresh forge's. Each fork-restore must
+// rewind everything the stream shows. (The name dates from when the
+// invariant was extended to a second, translating engine.)
+func TestGoldenKeyOverwriteTraceXlat(t *testing.T) {
+	golden := traceKeyOverwrite(t)
+	forge, err := inject.NewForge(apps.PinLockN(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := monitor.Policy{Kind: monitor.RestartOperation}
+	plan := inject.Plan(forge.Build(), forge.Instance().Devices, inject.DefaultConfig(1))
+	if len(plan) > 6 {
+		plan = plan[:6]
+	}
+	for i := range plan {
+		if _, err := forge.TraceRun(plan[i], pol, 0, trace.NewBuffer(256), i == 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := forge.Trial(nil, pol, 0, nil, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := trace.NewBuffer(0)
+	out, err := forge.TraceRun(keyOverwriteSpec, pol, 0, buf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Verdict != inject.Recovered {
+		t.Fatalf("exploit verdict on the reused forge = %v, want %v", out.Verdict, inject.Recovered)
+	}
+	if reused := buf.RenderText(); reused != golden {
+		t.Errorf("golden trace differs on a reused forge:\n--- fresh ---\n%s--- reused ---\n%s", golden, reused)
+	}
+}
+
 // TestProfileParallelismInvariant renders the profiling experiment at
 // two harness parallelism levels; like every other rendered table, the
 // output must be byte-identical.

@@ -55,6 +55,39 @@ func TestProofParanoidSweep(t *testing.T) {
 	sweepAll(t, Quick)
 }
 
+// TestRenderedTablesBackendIdentity renders Table 1 and Figure 9 with
+// every elided access re-adjudicated (OPEC_MACH_PARANOID semantics) and
+// requires both byte-identical to the plain render. The tables embed
+// absolute cycle counts, so this pins that re-adjudication moves no
+// timing, not just that it finds no unsound proof. (The name dates from
+// when the second render ran on a second, translating engine.)
+func TestRenderedTablesBackendIdentity(t *testing.T) {
+	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
+	defer func() { mach.ParanoidProofs, mach.DisableProofs = savedP, savedD }()
+	mach.DisableProofs = false
+	render := func(paranoid bool) (t1, f9 string) {
+		mach.ParanoidProofs = paranoid
+		h := NewHarness(0)
+		rows, err := h.Table1(Quick)
+		if err != nil {
+			t.Fatalf("paranoid=%v Table1: %v", paranoid, err)
+		}
+		fig, err := h.Figure9(Quick)
+		if err != nil {
+			t.Fatalf("paranoid=%v Figure9: %v", paranoid, err)
+		}
+		return RenderTable1(rows), RenderFigure9(fig)
+	}
+	t1, f9 := render(false)
+	t1p, f9p := render(true)
+	if t1 != t1p {
+		t.Errorf("Table 1 differs under paranoid proofs:\n--- plain ---\n%s--- paranoid ---\n%s", t1, t1p)
+	}
+	if f9 != f9p {
+		t.Errorf("Figure 9 differs under paranoid proofs:\n--- plain ---\n%s--- paranoid ---\n%s", f9, f9p)
+	}
+}
+
 // TestProofCoverageFloor pins the proof engine's precision acceptance
 // floor: at least five of the seven workloads must certify at least
 // half of their static memory accesses, and no build may contain a

@@ -33,7 +33,7 @@ const FeatureSpace = EdgeSpace * numBuckets
 // Everything hashed is an interned name id or a dense index, and
 // AttachTrace pre-interns every module function in module order on each
 // fork, so the same execution produces the same features in every
-// trial, at any parallelism, under either backend.
+// trial, at any parallelism.
 //
 // CovSink is a trace.Repeater, so a trial's device-poll loops are
 // fast-forwarded (DESIGN.md §15) with the features unchanged.

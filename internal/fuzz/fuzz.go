@@ -26,11 +26,11 @@
 // guided-vs-random edge counts measure what coverage feedback buys.
 //
 // Determinism contract: the same Options produce a byte-identical
-// Report at any Parallel and under either execution backend. All
-// randomness comes from one seeded generator consumed single-threaded
-// between execution barriers; trials fan out over per-worker forges
-// (booted identically — their snapshot IDs are asserted equal) and
-// results merge in input-index order.
+// Report at any Parallel. All randomness comes from one seeded
+// generator consumed single-threaded between execution barriers;
+// trials fan out over per-worker forges (booted identically — their
+// snapshot IDs are asserted equal) and results merge in input-index
+// order.
 package fuzz
 
 import (
@@ -61,8 +61,6 @@ type Options struct {
 	Random bool
 	// Policy is the recovery policy trials run under.
 	Policy monitor.Policy
-	// Backend selects the execution backend ("" = interpreter).
-	Backend string
 
 	// sink, when set, wraps the coverage sink before each trial
 	// attaches it; tests use it to observe trials and to hide the
@@ -84,7 +82,6 @@ type Finding struct {
 // byte-identically.
 type Report struct {
 	App        string
-	Backend    string
 	SnapshotID string
 	Seed       int64
 	Guided     bool
@@ -138,6 +135,15 @@ type trialResult struct {
 	err      error
 }
 
+// worker is one execution lane of a campaign: a forge booted from the
+// shared checkpoint, and the coverage sink and trace bus its trials
+// reuse, reset before each one.
+type worker struct {
+	forge *inject.Forge
+	sink  *CovSink
+	bus   *trace.Buffer
+}
+
 // pending is one generated, not-yet-executed input.
 type pending struct {
 	spec  inject.Spec
@@ -158,22 +164,21 @@ func Run(opts Options) (*Report, error) {
 		par = opts.Budget
 	}
 
-	forges := make([]*inject.Forge, par)
-	for i := range forges {
+	workers := make([]worker, par)
+	for i := range workers {
 		f, err := inject.NewForge(opts.App)
 		if err != nil {
 			return nil, err
 		}
-		f.Backend = opts.Backend
-		forges[i] = f
-		if id := f.SnapshotID(); id != forges[0].SnapshotID() {
-			return nil, fmt.Errorf("fuzz: worker %d booted to snapshot %s, worker 0 to %s", i, id, forges[0].SnapshotID())
+		workers[i] = worker{forge: f, sink: NewCovSink(), bus: trace.NewBuffer(256)}
+		if id := f.SnapshotID(); id != workers[0].forge.SnapshotID() {
+			return nil, fmt.Errorf("fuzz: worker %d booted to snapshot %s, worker 0 to %s", i, id, workers[0].forge.SnapshotID())
 		}
 	}
-	lead := forges[0]
+	lead := workers[0].forge
 
 	rep := &Report{
-		App: opts.App.Name, Backend: opts.Backend, SnapshotID: lead.SnapshotID(),
+		App: opts.App.Name, SnapshotID: lead.SnapshotID(),
 		Seed: opts.Seed, Guided: !opts.Random,
 	}
 
@@ -206,11 +211,6 @@ func Run(opts Options) (*Report, error) {
 	global := newFeatureSet()
 	batch := make([]pending, 0, batchSize)
 	results := make([]trialResult, batchSize)
-	// One coverage sink per worker forge, reset between its trials.
-	sinks := make([]*CovSink, par)
-	for i := range sinks {
-		sinks[i] = NewCovSink()
-	}
 
 	for rep.Inputs < opts.Budget {
 		n := opts.Budget - rep.Inputs
@@ -226,7 +226,7 @@ func Run(opts Options) (*Report, error) {
 		// Execution: fan out over the worker forges. Each trial is a
 		// pure function of (checkpoint, spec), so assignment order
 		// cannot matter.
-		runBatch(forges, sinks, batch[:n], results[:n], opts, rep.TrialCycles)
+		runBatch(workers, batch[:n], results[:n], opts, rep.TrialCycles)
 		// Merge: input-index order decides edge novelty, corpus
 		// retention and finding order.
 		for i := 0; i < n; i++ {
@@ -359,37 +359,39 @@ func schedule(rng *rand.Rand, n int) int {
 	return b
 }
 
-// runBatch executes batch over the worker forges, one goroutine per
-// forge and its coverage sink, writing into index-addressed result
-// slots.
-func runBatch(forges []*inject.Forge, sinks []*CovSink, batch []pending, results []trialResult, opts Options, maxCycles uint64) {
-	runOne := func(f *inject.Forge, sink *CovSink, p pending, r *trialResult) {
-		buf := trace.NewBuffer(256)
-		sink.Reset()
+// runBatch executes batch over the workers, one goroutine per worker,
+// writing into index-addressed result slots. Each trial resets its
+// worker's sink and bus; the bus keeps its ring storage and name table,
+// so a trial's AttachTrace finds every name already interned, at the
+// id it had in the worker's first trial.
+func runBatch(workers []worker, batch []pending, results []trialResult, opts Options, maxCycles uint64) {
+	runOne := func(w *worker, p pending, r *trialResult) {
+		w.bus.Reset()
+		w.sink.Reset()
 		if opts.sink != nil {
-			buf.Attach(opts.sink(sink))
+			w.bus.Attach(opts.sink(w.sink))
 		} else {
-			buf.Attach(sink)
+			w.bus.Attach(w.sink)
 		}
-		r.out, r.err = f.TraceRun(p.spec, opts.Policy, maxCycles, buf, true)
-		r.features = sink.Features()
+		r.out, r.err = w.forge.TraceRun(p.spec, opts.Policy, maxCycles, w.bus, true)
+		r.features = w.sink.Features()
 	}
-	if len(forges) == 1 || len(batch) == 1 {
+	if len(workers) == 1 || len(batch) == 1 {
 		for i := range batch {
-			runOne(forges[0], sinks[0], batch[i], &results[i])
+			runOne(&workers[0], batch[i], &results[i])
 		}
 		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < len(forges); w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(f *inject.Forge, sink *CovSink) {
+		go func(w *worker) {
 			defer wg.Done()
 			for i := range idx {
-				runOne(f, sink, batch[i], &results[i])
+				runOne(w, batch[i], &results[i])
 			}
-		}(forges[w], sinks[w])
+		}(&workers[w])
 	}
 	for i := range batch {
 		idx <- i
@@ -465,19 +467,15 @@ func calibrationSpec(frameTarget string, frames []frameEntry) inject.Spec {
 }
 
 // Render prints the campaign summary: byte-identical for identical
-// Options at any parallelism and either backend.
+// Options at any parallelism.
 func (r *Report) Render() string {
 	var b strings.Builder
 	mode := "guided"
 	if !r.Guided {
 		mode = "random"
 	}
-	backend := r.Backend
-	if backend == "" {
-		backend = "interp"
-	}
-	fmt.Fprintf(&b, "fuzz campaign: %s  seed=%d  inputs=%d  mode=%s  backend=%s\n",
-		r.App, r.Seed, r.Inputs, mode, backend)
+	fmt.Fprintf(&b, "fuzz campaign: %s  seed=%d  inputs=%d  mode=%s\n",
+		r.App, r.Seed, r.Inputs, mode)
 	fmt.Fprintf(&b, "  snapshot %s  clean=%d cycles  trial budget=%d cycles\n",
 		r.SnapshotID, r.CleanCycles, r.TrialCycles)
 	fmt.Fprintf(&b, "  unique edges=%d  corpus: %d frames, %d gates\n",

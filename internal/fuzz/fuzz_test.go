@@ -7,6 +7,7 @@ import (
 
 	"opec/internal/apps"
 	"opec/internal/inject"
+	"opec/internal/mach"
 	"opec/internal/trace"
 )
 
@@ -39,24 +40,31 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The two execution backends must drive every trial — including its
-// coverage event stream — identically, so the whole campaign agrees
-// modulo the backend label.
+// The simulator's lookup caches (the MPU micro-TLB and the bus's
+// last-device cache, OPEC_MACH_NOCACHE semantics) must drive every
+// trial — including its coverage event stream — as an uncached machine
+// does, so the whole campaign agrees with them disabled. Every worker's
+// forge keeps one machine across its trials, so this also pins that a
+// fork-restore leaves no cache entry of the previous trial behind. (The
+// name dates from when the other campaign ran on a second, translating
+// engine.)
 func TestCampaignDeterministicAcrossBackends(t *testing.T) {
+	saved := mach.DisableCaches
+	defer func() { mach.DisableCaches = saved }()
 	opts := testOptions()
 	opts.Parallel = 4
-	interp, err := Run(opts)
+	mach.DisableCaches = false
+	cached, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Backend = "xlat"
-	xlat, err := Run(opts)
+	mach.DisableCaches = true
+	uncached, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xlat.Backend = interp.Backend // the one field allowed to differ
-	if got, want := xlat.Render(), interp.Render(); got != want {
-		t.Errorf("xlat summary differs from interp:\n--- xlat ---\n%s--- interp ---\n%s", got, want)
+	if got, want := uncached.Render(), cached.Render(); got != want {
+		t.Errorf("summary with lookup caches disabled differs:\n--- uncached ---\n%s--- cached ---\n%s", got, want)
 	}
 }
 
@@ -367,23 +375,19 @@ func campaignFeatures(t *testing.T, opts Options, hide bool) (*Report, [][]uint3
 // TestCampaignSameWithoutRepeat runs the same campaign with coverage
 // sinks that absorb skipped poll iterations in closed form and with
 // sinks that hide that ability, which makes every trial execute every
-// iteration. The reports and every input's features must agree, on
-// both backends.
+// iteration. The reports and every input's features must agree.
 func TestCampaignSameWithoutRepeat(t *testing.T) {
-	for _, backend := range []string{"", "xlat"} {
-		opts := testOptions()
-		opts.Budget = 32
-		opts.Backend = backend
-		fast, fastFeats, repeats := campaignFeatures(t, opts, false)
-		ref, refFeats, _ := campaignFeatures(t, opts, true)
-		if repeats == 0 {
-			t.Errorf("backend %q: no trial absorbed a repeated window", backend)
-		}
-		if got, want := fast.Render(), ref.Render(); got != want {
-			t.Errorf("backend %q: report with repeats differs:\n--- repeats ---\n%s--- reference ---\n%s", backend, got, want)
-		}
-		if !reflect.DeepEqual(fastFeats, refFeats) {
-			t.Errorf("backend %q: per-input features differ", backend)
-		}
+	opts := testOptions()
+	opts.Budget = 32
+	fast, fastFeats, repeats := campaignFeatures(t, opts, false)
+	ref, refFeats, _ := campaignFeatures(t, opts, true)
+	if repeats == 0 {
+		t.Error("no trial absorbed a repeated window")
+	}
+	if got, want := fast.Render(), ref.Render(); got != want {
+		t.Errorf("report with repeats differs:\n--- repeats ---\n%s--- reference ---\n%s", got, want)
+	}
+	if !reflect.DeepEqual(fastFeats, refFeats) {
+		t.Error("per-input features differ")
 	}
 }

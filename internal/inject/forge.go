@@ -33,13 +33,6 @@ import (
 type Forge struct {
 	App *apps.App
 
-	// Backend selects the execution backend for every forked trial
-	// ("interp", "xlat", or "" for run.DefaultBackend as it read when
-	// the forge booted). Set it before the first Run; trials are
-	// byte-identical either way, which is exactly what the fuzzing
-	// campaigns' cross-backend identity test asserts.
-	Backend string
-
 	ctx   *run.Context
 	build *core.Build // OPEC forges
 	acesB *aces.Build // ACES forges: injections resolve globals by its fixed layout
@@ -151,7 +144,6 @@ func (f *Forge) Trial(spec *Spec, pol monitor.Policy, maxCycles uint64, buf *tra
 	res, runErr := f.ctx.Fork(run.Options{
 		Policy:    pol,
 		MaxCycles: maxCycles,
-		Backend:   f.Backend,
 		Trace:     buf,
 		Arm: func(m *mach.Machine) {
 			if inj != nil {

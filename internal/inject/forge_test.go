@@ -7,7 +7,6 @@ import (
 	"opec/internal/apps"
 	"opec/internal/mach"
 	"opec/internal/monitor"
-	"opec/internal/run"
 )
 
 // The forge's byte-identity contract on a single trial: forking the
@@ -97,46 +96,44 @@ func TestForgeRestartAfterInjectionParanoid(t *testing.T) {
 	}
 }
 
-// TestForgeBitFlipAfterForkXlatParanoid is the translation-cache
-// invalidation regression for the xlat backend: the forge's Arm hook
-// clears the certificate table after every fork-restore, so any
-// certificate-fused fast path the translation cache built during an
-// earlier trial must be re-keyed away, never served stale. Paranoid
-// mode turns a stale fused path into a monitor crash (re-adjudication
-// panics on the first unsound elision), and the interp forge running
-// the same specs pins byte-identity of every outcome field.
+// TestForgeBitFlipAfterForkXlatParanoid is the regression for state a
+// forge machine carries from one trial into the next. The restore that
+// starts every trial must drop the derived lookup caches (micro-TLB
+// entries, the last-device cache) and reinstate the boot-time
+// certificates, which the Arm hook of an injected trial clears again.
+// One forge runs with its caches on and every elided access
+// re-adjudicated (paranoid: a certificate the MPU denies panics into a
+// CrashedMonitor verdict); a reference forge runs uncached
+// (OPEC_MACH_NOCACHE) and consumes no certificates (OPEC_MACH_NOPROOF).
+// Both run the §6.1 rogue store and every planned bit flip, each
+// followed by a clean trial. Every outcome field must agree, the first
+// forge's injected trials must elide nothing, and its clean ones must
+// elide. (The name dates from when the other forge ran a second,
+// translating engine, whose cache could have kept a certificate-fused
+// path across forks.)
 func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
-	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
-	savedB := run.DefaultBackend
+	savedP, savedD, savedC := mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches
 	defer func() {
-		mach.ParanoidProofs, mach.DisableProofs = savedP, savedD
-		run.DefaultBackend = savedB
+		mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = savedP, savedD, savedC
 	}()
-	mach.ParanoidProofs, mach.DisableProofs = true, false
+	paranoid := func() { mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = true, false, false }
+	reference := func() { mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = false, true, true }
 
 	app := apps.PinLockN(2)
 	pol := monitor.Policy{Kind: monitor.RestartOperation}
-
-	mkForge := func(backend string) *Forge {
+	mkForge := func(mode func()) *Forge {
 		t.Helper()
-		run.DefaultBackend = backend
+		mode() // a machine reads DisableCaches when its bus is built
 		f, err := NewForge(app)
 		if err != nil {
-			t.Fatalf("%s forge: %v", backend, err)
+			t.Fatal(err)
 		}
-		// A forge forks on the default it booted under; pinning the
-		// backend as well keeps the comparison independent of that.
-		f.Backend = backend
 		return f
 	}
-	fi := mkForge(run.BackendInterp)
-	fx := mkForge(run.BackendXlat)
+	fp, fr := mkForge(paranoid), mkForge(reference)
 
 	inst, b := compilePinLock(t, 2)
 	specs := []Spec{
-		// The §6.1 rogue store first: its trial runs with certificates
-		// installed at boot (fused variants get built), then every
-		// later fork clears them — the exact stale-closure hazard.
 		{Kind: RogueStore, Func: "Lock_Task", N: 1, Target: "KEY", Bit: -1, Value: 0xEE},
 	}
 	for _, sp := range Plan(b, inst.Devices, DefaultConfig(42)) {
@@ -145,21 +142,49 @@ func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
 		}
 	}
 
+	// elided reads mach.proofs.elided, a statistic restores leave
+	// running, off the paranoid forge's machine.
+	var m *mach.Machine
+	elided := func() uint64 {
+		for _, c := range m.Counters() {
+			if c.Name == "mach.proofs.elided" {
+				return c.Value
+			}
+		}
+		return 0
+	}
+	var cleanElided uint64
+	trial := func(name string, spec *Spec) {
+		t.Helper()
+		paranoid()
+		var before uint64
+		op, err := fp.Trial(spec, pol, 0, nil, false, func(fm *mach.Machine) { m = fm; before = elided() })
+		if err != nil {
+			t.Fatalf("%s paranoid: %v", name, err)
+		}
+		if n := elided() - before; spec == nil {
+			cleanElided += n
+		} else if n != 0 {
+			t.Errorf("%s: an injected trial elided %d accesses; it must run fully checked", name, n)
+		}
+		reference()
+		or, err := fr.Trial(spec, pol, 0, nil, false, nil)
+		if err != nil {
+			t.Fatalf("%s reference: %v", name, err)
+		}
+		if op.Verdict == CrashedMonitor && or.Verdict != CrashedMonitor {
+			t.Errorf("%s: paranoid trial crashed where the reference did not (stale certificate?): %s", name, op.Err)
+			return
+		}
+		if !reflect.DeepEqual(op, or) {
+			t.Errorf("%s: fork outcome diverges:\n  paranoid:  %+v\n  reference: %+v", name, op, or)
+		}
+	}
 	for _, sp := range specs {
-		oi, err := fi.Run(sp, pol, 0)
-		if err != nil {
-			t.Fatalf("%s interp: %v", sp, err)
-		}
-		ox, err := fx.Run(sp, pol, 0)
-		if err != nil {
-			t.Fatalf("%s xlat: %v", sp, err)
-		}
-		if ox.Verdict == CrashedMonitor && oi.Verdict != CrashedMonitor {
-			t.Errorf("%s: xlat trial crashed where interp did not (stale fused path?): %s", sp, ox.Err)
-			continue
-		}
-		if !reflect.DeepEqual(oi, ox) {
-			t.Errorf("%s: fork outcome diverges:\n  interp: %+v\n  xlat:   %+v", sp, oi, ox)
-		}
+		trial(sp.String(), &sp)
+		trial("clean after "+sp.String(), nil)
+	}
+	if cleanElided == 0 {
+		t.Error("no clean trial elided an access: the forks re-checked nothing")
 	}
 }

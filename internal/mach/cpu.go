@@ -111,10 +111,6 @@ type Machine struct {
 	// inj is the armed fault injection, if any (see Arm).
 	inj *Injection
 
-	// backend is the installed execution backend; nil selects the
-	// interpreter (see backend.go).
-	backend Backend
-
 	// frames is the activation-record pool, indexed by call depth, so
 	// steady-state execution allocates nothing per call.
 	frames []*frame
@@ -129,9 +125,7 @@ type Machine struct {
 	// per basic block entered, after the block-boundary tick) — the
 	// branch-coverage feed the fuzzing engine folds into its edge map.
 	// Off by default: block events multiply trace volume and ordinary
-	// traced runs only need the call/gate/fault stream. Both execution
-	// backends emit the identical event sequence at identical cycles, so
-	// coverage-guided campaigns stay byte-identical across backends.
+	// traced runs only need the call/gate/fault stream.
 	CovEvents bool
 
 	// traceIDs caches interned function-name ids by Function.Index(),
@@ -328,8 +322,7 @@ func (m *Machine) emitExc(kind trace.Kind, class uint32, cost uint64) {
 
 // emitBlock records one per-block coverage event (see CovEvents).
 // Callers guard with m.Trace != nil && m.CovEvents and emit immediately
-// after the block-boundary tick, where the clock is exact in every
-// backend.
+// after the block-boundary tick, where the clock is exact.
 func (m *Machine) emitBlock(fn *ir.Function, idx int) {
 	m.Trace.Emit(trace.Event{
 		Cycle: m.Clock.Now(), Kind: trace.EvBranch, Op: -1,
@@ -402,7 +395,6 @@ type frame struct {
 	nargs   int
 	argBase uint32   // address of spilled args
 	argbuf  []uint32 // evalArgs scratch; valid until this frame's next call
-	env     Env      // backend activation view; reused per call at this depth
 	ff      loopWitness
 }
 
@@ -430,9 +422,9 @@ func (m *Machine) call(fn *ir.Function, args []uint32) (uint32, error) {
 	fr := m.frameAt(m.depth)
 	fr.fn = fn
 	// The reuse counter tracks the nominal file size (running max of
-	// NumRegs at this depth), not raw slice capacity: a backend's
-	// Env.RegsN may grow the storage past any function's own file, and
-	// that host-side growth must not skew an observable counter.
+	// NumRegs at this depth since the last Restore), not raw slice
+	// capacity: Restore keeps the storage but resets the nominal size,
+	// so every run from a checkpoint counts the same reuses.
 	n := fn.NumRegs()
 	if fr.ncap >= n {
 		m.frameReuse++
@@ -488,14 +480,7 @@ func (m *Machine) call(fn *ir.Function, args []uint32) (uint32, error) {
 		}
 	}
 
-	var ret uint32
-	var err error
-	if m.backend != nil {
-		fr.env = Env{m: m, fr: fr, fm: fm, localBase: localBase, priv: m.Privileged}
-		ret, err = m.backend.Exec(&fr.env)
-	} else {
-		ret, err = m.exec(fr, localBase, fm)
-	}
+	ret, err := m.exec(fr, localBase, fm)
 	m.SP = savedSP
 	m.Clock.Advance(CostRet)
 	return ret, err
@@ -994,11 +979,6 @@ func (m *Machine) retryStore(f *Fault) error {
 	}
 	return nil
 }
-
-// EvalBin exposes the interpreter's binary-operator semantics (ARM
-// UDIV divide-by-zero result, 5-bit shift masking) to execution
-// backends, so a translated operator can never drift from the oracle.
-func EvalBin(k ir.BinKind, a, b uint32) uint32 { return evalBin(k, a, b) }
 
 func evalBin(k ir.BinKind, a, b uint32) uint32 {
 	switch k {

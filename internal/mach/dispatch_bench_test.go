@@ -61,8 +61,8 @@ func benchMachine(b *testing.B, m *ir.Module) *Machine {
 
 // BenchmarkStepDispatch measures the interpreter's per-instruction
 // dispatch cost; the reported instr_ns metric is the simulator's
-// seconds-per-simulated-instruction, the quantity the xlat backend's
-// speedup claims are measured against.
+// seconds-per-simulated-instruction, the quantity a dispatch
+// optimisation (superinstructions, fused terminators) must lower.
 func BenchmarkStepDispatch(b *testing.B) {
 	m := benchModule()
 	mm := benchMachine(b, m)

@@ -8,8 +8,8 @@ package mach
 // repetition in closed form while keeping the register-level device
 // model and every cycle of its accounting.
 //
-// Both execution engines call loopBack whenever a block branches back
-// to itself. The primitive watches three consecutive iterations and
+// The interpreter calls loopBack whenever a block branches back to
+// itself. The primitive watches three consecutive iterations and
 // skips ahead only when all of them
 //
 //   - store nothing, take no exception (fault, SVC or IRQ) and do not
@@ -203,8 +203,8 @@ func (b *Bus) protEpoch() (gen uint64, on, ok bool) {
 	return 0, false, false
 }
 
-// loopBack is the fast-forward primitive. Both engines call it when a
-// block branches back to itself; n is how many consecutive times this
+// loopBack is the fast-forward primitive. The interpreter calls it when
+// a block branches back to itself; n is how many consecutive times this
 // activation has done so for the same block (0 the first time), and
 // the result is the count to pass at the next back edge. A run traced
 // through a handler that needs every event pays this one test.

@@ -32,7 +32,6 @@ var notState = map[string]string{
 	"Machine.MaxCycles":  "run configuration: the cycle budget, set per run",
 	"Machine.irqs":       "wiring: IRQ bindings made at boot",
 	"Machine.inj":        "run attachment: the armed injection, cleared by Restore",
-	"Machine.backend":    "run configuration: the execution engine, chosen per run; translations never go stale",
 	"Machine.frames":     "derived: host activation records; invalidateDerived resets their nominal sizes",
 	"Machine.Trace":      "run attachment: the event bus, cleared by Restore",
 	"Machine.CovEvents":  "run configuration: coverage events, set per run",

@@ -139,9 +139,9 @@ func (m *Machine) image(freeze bool) stateImage {
 // instruction count among them), the clock, the DWT enable, the MPU
 // and PMP registers, the SHA-256 of every Flash and SRAM page and every
 // device record with its page sums. It leaves out the statistics and
-// cache counters and the micro-TLB generation, which caches, skipped
-// poll iterations and the execution engine move without changing what
-// the machine computes, and the certificate rows, which only select the
+// cache counters and the micro-TLB generation, which caches and
+// skipped poll iterations move without changing what the machine
+// computes, and the certificate rows, which only select the
 // elided access path (a snapshot keeps them beside its image).
 func (img *stateImage) digest() string {
 	// Room for the register lines, every page sum and every device

@@ -6,13 +6,11 @@ package mach
 // attempted — landed or denied — with the PC, function and protection
 // verdict of each. Two hooks cover the two ways memory changes:
 //
-//   - Machine.SetStoreWatch observes program-issued stores. Every
-//     execution backend funnels data stores through storeChecked /
-//     storeProven (the interpreter directly, the threaded-code engine
-//     via Env.Store/Env.StoreProven, injection hooks via InjectStore),
-//     so one seam sees them all, certificate-elided or fully
-//     adjudicated, and sees the denied attempts the memory itself never
-//     records.
+//   - Machine.SetStoreWatch observes program-issued stores. Every data
+//     store goes through storeChecked / storeProven (the interpreter
+//     directly, injection hooks via InjectStore), so one seam sees them
+//     all, certificate-elided or fully adjudicated, and sees the denied
+//     attempts the memory itself never records.
 //   - Bus.SetRawWatch observes hardware-level writes below the
 //     protection unit: bit flips, peripheral corruption, and the
 //     monitor's raw shadow/init copies. These carry no frame context —

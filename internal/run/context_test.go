@@ -202,21 +202,3 @@ func TestSnapshotIDIsRestoredStateDigest(t *testing.T) {
 		}
 	}
 }
-
-// TestForkKeepsBootDefaultBackend: a Context forks on the default
-// backend it booted under, whatever the process default says when a
-// later fork runs.
-func TestForkKeepsBootDefaultBackend(t *testing.T) {
-	saved := run.DefaultBackend
-	defer func() { run.DefaultBackend = saved }()
-	run.DefaultBackend = run.BackendInterp
-	c := bootScheme(t, apps.PinLockN(5), "opec")
-	run.DefaultBackend = run.BackendXlat
-	var backend mach.Backend
-	if _, err := c.Fork(run.Options{Arm: func(m *mach.Machine) { backend = m.ExecBackend() }}); err != nil {
-		t.Fatal(err)
-	}
-	if backend != nil {
-		t.Errorf("a Context booted under the interpreter forked on %s", backend.Name())
-	}
-}

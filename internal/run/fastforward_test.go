@@ -47,11 +47,11 @@ func (everyEvent) HandleEvent(trace.Event) {}
 // ffSchemes are the five builds the evaluation runs.
 var ffSchemes = []string{"vanilla", "opec", "aces1", "aces2", "aces3"}
 
-// observeFF runs app under scheme on backend with the given trace.
-func observeFF(t *testing.T, app *apps.App, scheme, backend string, mode traceMode) ffObs {
+// observeFF runs app under scheme with the given trace.
+func observeFF(t *testing.T, app *apps.App, scheme string, mode traceMode) ffObs {
 	t.Helper()
 	inst := app.New()
-	opts := run.Options{Backend: backend}
+	opts := run.Options{}
 	if mode != untraced {
 		opts.Trace = trace.NewBuffer(256)
 	}
@@ -141,54 +141,52 @@ func (o ffObs) diff(ref ffObs) string {
 }
 
 // TestFastForwardMatchesTracedRuns is the full-scale differential for
-// the busy-wait fast-forward: every workload under every scheme, on
-// both execution backends, must produce the same cycles, instruction
-// count, final state digest, correctness-check outcome and registry
-// counters untraced and ring-only traced (both skipping) as the
-// reference (executing every iteration), and the ring-only trace must
-// hold the reference's events, emitted and dropped counts. It also
-// proves the skip engages on both backends, traced or not.
+// the busy-wait fast-forward: every workload under every scheme must
+// produce the same cycles, instruction count, final state digest,
+// correctness-check outcome and registry counters untraced and
+// ring-only traced (both skipping) as the reference (executing every
+// iteration), and the ring-only trace must hold the reference's
+// events, emitted and dropped counts. It also proves the skip engages,
+// traced or not.
 func TestFastForwardMatchesTracedRuns(t *testing.T) {
 	if testing.Short() || raceDetector {
 		// Single-threaded and long; the race detector adds nothing.
 		t.Skip("full-scale differential")
 	}
-	for _, backend := range []string{run.BackendInterp, run.BackendXlat} {
-		skipping := map[string]bool{}
-		for _, app := range apps.All() {
-			for _, scheme := range ffSchemes {
-				fast := observeFF(t, app, scheme, backend, untraced)
-				ring := observeFF(t, app, scheme, backend, ringOnly)
-				ref := observeFF(t, app, scheme, backend, reference)
-				if d := ring.diff(ref); d != "" {
-					t.Errorf("%s %s/%s ring-only trace: %s", backend, app.Name, scheme, d)
+	skipping := map[string]bool{}
+	for _, app := range apps.All() {
+		for _, scheme := range ffSchemes {
+			fast := observeFF(t, app, scheme, untraced)
+			ring := observeFF(t, app, scheme, ringOnly)
+			ref := observeFF(t, app, scheme, reference)
+			if d := ring.diff(ref); d != "" {
+				t.Errorf("%s/%s ring-only trace: %s", app.Name, scheme, d)
+			}
+			if ring.skipped != fast.skipped {
+				t.Errorf("%s/%s: ring-only traced run skipped %d instructions, untraced %d", app.Name, scheme, ring.skipped, fast.skipped)
+			}
+			fast.trace = ref.trace
+			for name, v := range ref.counters {
+				if strings.HasPrefix(name, "trace.") {
+					fast.counters[name] = v
 				}
-				if ring.skipped != fast.skipped {
-					t.Errorf("%s %s/%s: ring-only traced run skipped %d instructions, untraced %d", backend, app.Name, scheme, ring.skipped, fast.skipped)
-				}
-				fast.trace = ref.trace
-				for name, v := range ref.counters {
-					if strings.HasPrefix(name, "trace.") {
-						fast.counters[name] = v
-					}
-				}
-				if d := fast.diff(ref); d != "" {
-					t.Errorf("%s %s/%s: %s", backend, app.Name, scheme, d)
-				}
-				if ref.skipped != 0 {
-					t.Errorf("%s %s/%s: reference run skipped %d instructions", backend, app.Name, scheme, ref.skipped)
-				}
-				if fast.skipped > 0 {
-					skipping[app.Name] = true
-				}
+			}
+			if d := fast.diff(ref); d != "" {
+				t.Errorf("%s/%s: %s", app.Name, scheme, d)
+			}
+			if ref.skipped != 0 {
+				t.Errorf("%s/%s: reference run skipped %d instructions", app.Name, scheme, ref.skipped)
+			}
+			if fast.skipped > 0 {
+				skipping[app.Name] = true
 			}
 		}
-		// CoreMark is compute-bound; every other workload waits on a
-		// device and must skip under at least one scheme.
-		for _, app := range apps.All() {
-			if app.Name != "CoreMark" && !skipping[app.Name] {
-				t.Errorf("%s: %s never fast-forwarded", backend, app.Name)
-			}
+	}
+	// CoreMark is compute-bound; every other workload waits on a
+	// device and must skip under at least one scheme.
+	for _, app := range apps.All() {
+		if app.Name != "CoreMark" && !skipping[app.Name] {
+			t.Errorf("%s never fast-forwarded", app.Name)
 		}
 	}
 }

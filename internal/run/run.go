@@ -101,13 +101,6 @@ type Options struct {
 	// MaxCycles, when non-zero, overrides the instance's cycle budget
 	// for this run.
 	MaxCycles uint64
-	// Backend selects the execution engine: BackendInterp (the
-	// reference interpreter), BackendXlat (threaded-code translation),
-	// or "" for the process default (DefaultBackend) as it read when
-	// the Context booted. Backends are observably identical — cycle
-	// counts, faults, traces and counters match byte for byte; only
-	// wall-clock time differs.
-	Backend string
 }
 
 // Context is a booted instance of one scheme, checkpointed before its
@@ -119,7 +112,6 @@ type Context struct {
 	rt      runtime
 	snap    *mach.Snapshot
 	restore func() // rewinds the runtime's own state
-	backend string // DefaultBackend at boot, for forks that name none
 }
 
 // OPECContext and ACESContext are the names Context had when each
@@ -180,7 +172,7 @@ func boot(inst *apps.Instance, start func(*mach.Bus) (runtime, error)) (*Context
 	if err != nil {
 		return nil, err
 	}
-	return &Context{Inst: inst, rt: rt, snap: snap, restore: rt.checkpoint(), backend: DefaultBackend}, nil
+	return &Context{Inst: inst, rt: rt, snap: snap, restore: rt.checkpoint()}, nil
 }
 
 // SnapshotID identifies the checkpoint's machine state; together with
@@ -208,17 +200,6 @@ func (c *Context) Fork(opts Options) (*Result, error) {
 	m.MaxCycles = c.Inst.MaxCycles
 	if opts.MaxCycles > 0 {
 		m.MaxCycles = opts.MaxCycles
-	}
-	// Re-selecting the backend a machine already runs is a no-op, so
-	// the translation cache stays warm across forks (Restore rewinds
-	// only architected state; translations are content-addressed by
-	// function, privilege and certificate row, never stale).
-	backend := opts.Backend
-	if backend == "" {
-		backend = c.backend
-	}
-	if err := attachBackend(m, backend); err != nil {
-		return nil, err
 	}
 	c.rt.setPolicy(opts.Policy)
 	// A finished run lets go of its observers — the trace bus and any

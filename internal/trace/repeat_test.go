@@ -254,3 +254,67 @@ func TestRepeatZeroAllocs(t *testing.T) {
 		t.Errorf("Repeat allocates %v per call, want 0", n)
 	}
 }
+
+// TestResetMatchesFresh runs a bus through one stream — recorded,
+// repeated under a limiter, with a handler that needs every event
+// attached last and a wrapped ring — resets it and feeds it a second
+// stream, which must leave it exactly as a fresh bus with the same
+// names interned. Reset, re-attaching and re-interning known names
+// must allocate nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	names := []string{"main", "Lock_Task", "KEY"}
+	rng := rand.New(rand.NewSource(3))
+	used := NewBuffer(8)
+	for _, n := range names {
+		used.Intern(n)
+	}
+	used.Attach(&tally{})
+	used.Attach(&capped{limit: 2})
+	emitAll(used, randomStream(rng, 11, 5))
+	if got := used.Repeat(3, 5, 4); got != 2 {
+		t.Fatalf("first stream: Repeat recorded %d copies, want the limiter's 2", got)
+	}
+	used.Attach(handlerFunc(func(Event) {}))
+	emitAll(used, randomStream(rng, 4, 0))
+	used.Reset()
+
+	fresh := NewBuffer(8)
+	for _, n := range names {
+		fresh.Intern(n)
+	}
+	for i, n := range names {
+		if got, want := used.Intern(n), fresh.Intern(n); got != want {
+			t.Fatalf("name %d (%s): reset bus id %d, fresh bus id %d", i, n, got, want)
+		}
+	}
+	us, fs := &tally{}, &tally{}
+	used.Attach(us)
+	fresh.Attach(fs)
+	second := randomStream(rng, 13, 2)
+	emitAll(used, second)
+	emitAll(fresh, second)
+	if got, want := used.Repeat(4, 3, 6), fresh.Repeat(4, 3, 6); got != want || got != 3 {
+		t.Fatalf("second stream: Repeat recorded %d copies on the reset bus, %d on a fresh one, want 3", got, want)
+	}
+	emitAll(used, second[:5])
+	emitAll(fresh, second[:5])
+	if got, want := stateOf(used, us), stateOf(fresh, fs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset bus %+v\nfresh bus %+v", got, want)
+	}
+	if got, want := used.RenderText(), fresh.RenderText(); got != want {
+		t.Fatalf("renders differ:\n--- reset ---\n%s--- fresh ---\n%s", got, want)
+	}
+	if !reflect.DeepEqual(used.Names(), fresh.Names()) {
+		t.Fatalf("name tables differ: %v vs %v", used.Names(), fresh.Names())
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		used.Reset()
+		used.Attach(us)
+		for _, n := range names {
+			used.Intern(n)
+		}
+	}); n != 0 {
+		t.Errorf("Reset, Attach and re-interning allocate %v per trial, want 0", n)
+	}
+}

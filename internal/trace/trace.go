@@ -236,6 +236,21 @@ func NewBuffer(capacity int) *Buffer {
 	}
 }
 
+// Reset returns a used bus to the state NewBuffer leaves: an empty
+// ring, zero emitted, dropped and regression counts, and no handlers or
+// limiters. It keeps the ring's storage and the name table, so a caller
+// that traces many runs in turn reuses one bus, and re-interning a name
+// it already holds allocates nothing and returns the same id.
+func (b *Buffer) Reset() {
+	b.head, b.importedDrops = 0, 0
+	b.lastCycle, b.cycleRegressions = 0, 0
+	clear(b.sinks)
+	b.sinks = b.sinks[:0]
+	clear(b.limiters)
+	b.limiters = b.limiters[:0]
+	b.needsEvents = false
+}
+
 // Attach registers a streaming handler.
 func (b *Buffer) Attach(h Handler) {
 	if _, ok := h.(Repeater); !ok {

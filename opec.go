@@ -178,19 +178,9 @@ const (
 	VetError = vet.SevError
 )
 
-// Execution-backend names. The interpreter is the reference engine and
-// differential oracle; the threaded-code translation engine (xlat) is
-// observably identical — same cycles, faults, traces and counters —
-// and faster on dispatch-bound code.
-const (
-	ExecInterp = run.BackendInterp
-	ExecXlat   = run.BackendXlat
-)
-
-// SetExecBackend selects the process-wide execution backend ("interp",
-// "xlat", or "" for the OPEC_MACH_BACKEND environment default). The
-// CLIs' -backend flag routes here.
-func SetExecBackend(name string) error { return run.SetDefaultBackend(name) }
+// ExecInterp names the simulator's one execution engine, the
+// interpreter, for reports that record what they measured.
+const ExecInterp = "interp"
 
 // Apps returns the seven evaluation workloads at paper scale.
 func Apps() []*App { return apps.All() }
@@ -340,8 +330,6 @@ type (
 	BenchReport = exper.BenchReport
 	// BenchWorkload is one timed app × scheme run inside a BenchReport.
 	BenchWorkload = exper.BenchWorkload
-	// BenchBackend is the execution-backend A/B section (schema v6).
-	BenchBackend = exper.BenchBackend
 )
 
 var (
