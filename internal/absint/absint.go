@@ -9,9 +9,9 @@
 //
 // The interpreter consumes the certificates (mach.InstallProofs) to
 // skip micro-TLB/MPU adjudication for proven accesses; the vet PROVE
-// pass reports per-operation proof coverage; the bench harness measures
-// the elision win. Soundness is argued in classify.go's RegionFile
-// model and enforced dynamically by mach's paranoid double-check mode.
+// pass reports per-operation proof coverage. Soundness is argued in
+// classify.go's RegionFile model and enforced dynamically on a
+// mach.CheckParanoid machine, which double-checks every elided access.
 //
 // Scope of the memory model: the analysis tracks the contents of stack
 // slots whose address never escapes their function (every use is the

@@ -32,6 +32,10 @@ type Instance struct {
 	// blitter (created once the bus exists).
 	NeedsDMA2D bool
 
+	// Checks is the machine's check level; the zero value runs every
+	// fast path.
+	Checks mach.Checks
+
 	// Check verifies the workload did its job (device side effects +
 	// program state). Runs after a successful halt.
 	Check func(read ReadGlobal) error
@@ -41,6 +45,15 @@ type Instance struct {
 type App struct {
 	Name string
 	New  func() *Instance
+}
+
+// WithChecks returns the workload with its instances at check level c.
+func (a *App) WithChecks(c mach.Checks) *App {
+	return &App{Name: a.Name, New: func() *Instance {
+		inst := a.New()
+		inst.Checks = c
+		return inst
+	}}
 }
 
 // All returns the seven workloads in the paper's order. PinLock runs a

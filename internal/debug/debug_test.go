@@ -433,70 +433,78 @@ func TestKeyframeEquivalenceAllWorkloads(t *testing.T) {
 	}
 }
 
-// cleanRun records a clean PinLock run, whose executions consume the
-// proof engine's certificates (an injected trial runs fully checked).
-// With checked set, certificate consumption is disabled while it
-// records (OPEC_MACH_NOPROOF semantics): the MPU adjudicates every
-// access instead.
-func cleanRun(t *testing.T, checked bool) *Session {
+// cleanRun records a clean PinLock run at check level c. A fast
+// session's executions consume the proof engine's certificates (an
+// injected trial runs fully checked); a reference session holds none,
+// so the MPU adjudicates every access, with its lookup caches off.
+func cleanRun(t *testing.T, c mach.Checks) *Session {
 	t.Helper()
-	saved := mach.DisableProofs
-	defer func() { mach.DisableProofs = saved }()
-	mach.DisableProofs = checked
-	s, err := New(Config{App: apps.PinLockN(1)})
+	s, err := New(Config{App: apps.PinLockN(1).WithChecks(c)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// elidedAccesses reads mach.proofs.elided off the session's machine.
-func elidedAccesses(s *Session) uint64 {
+// counter reads one counter off the session's machine.
+func counter(s *Session, name string) uint64 {
 	for _, c := range s.m.Counters() {
-		if c.Name == "mach.proofs.elided" {
+		if c.Name == name {
 			return c.Value
 		}
 	}
 	return 0
 }
 
-// TestKeyframeDigestsMatchAcrossBackends records a clean run on the
-// interpreter's two access paths, certified accesses elided and every
-// access checked, and compares every keyframe: same cycles, same stream
-// positions, same state digests. Elision selects a path, never a state.
-// (The name dates from when the other recording ran on a second,
-// translating engine.)
-func TestKeyframeDigestsMatchAcrossBackends(t *testing.T) {
-	a := cleanRun(t, false)
-	b := cleanRun(t, true)
-	if elidedAccesses(a) == 0 || elidedAccesses(b) != 0 {
-		t.Fatalf("elided accesses: %d eliding, %d checked; want some, none", elidedAccesses(a), elidedAccesses(b))
+// checkLevels fails t unless the fast session elided accesses and the
+// reference one elided none and hit no lookup cache.
+func checkLevels(t *testing.T, fast, ref *Session) {
+	t.Helper()
+	if counter(fast, "mach.proofs.elided") == 0 {
+		t.Error("the fast session elided no access")
 	}
+	for _, name := range []string{"mach.proofs.elided", "mach.tlb.hits", "mach.bus.dev_cache_hits"} {
+		if n := counter(ref, name); n != 0 {
+			t.Errorf("the reference session reads %s = %d, want 0", name, n)
+		}
+	}
+}
+
+// TestKeyframeDigestsMatchAcrossCheckLevels records a clean run at the
+// fast and the reference check level and compares every keyframe: same
+// cycles, same stream positions, same state digests. Elision and the
+// lookup caches select a path, never a state.
+func TestKeyframeDigestsMatchAcrossCheckLevels(t *testing.T) {
+	t.Parallel()
+	a := cleanRun(t, mach.CheckFast)
+	b := cleanRun(t, mach.CheckReference)
+	checkLevels(t, a, b)
 	fa, fb := a.Keyframes().Frames(), b.Keyframes().Frames()
 	if len(fa) != len(fb) {
-		t.Fatalf("keyframe counts differ: elided=%d checked=%d", len(fa), len(fb))
+		t.Fatalf("keyframe counts differ: fast=%d reference=%d", len(fa), len(fb))
 	}
 	for i := range fa {
 		if fa[i].Cycle != fb[i].Cycle || fa[i].Event != fb[i].Event ||
 			fa[i].State.Digest() != fb[i].State.Digest() {
-			t.Errorf("keyframe %d differs: elided {cycle=%d event=%d %s} checked {cycle=%d event=%d %s}",
+			t.Errorf("keyframe %d differs: fast {cycle=%d event=%d %s} reference {cycle=%d event=%d %s}",
 				i, fa[i].Cycle, fa[i].Event, fa[i].State.Digest(),
 				fb[i].Cycle, fb[i].Event, fb[i].State.Digest())
 		}
 	}
 }
 
-// TestSnapshotIDStableAcrossBackends runs a clean trial to completion
-// with certified accesses elided and with every access checked, and
-// snapshots the final architected state: the content-addressed ids
-// must agree, so a replay coordinate taken under OPEC_MACH_NOPROOF
-// names the same state without it. (The name dates from when the other
-// run used a second, translating engine.)
-func TestSnapshotIDStableAcrossBackends(t *testing.T) {
-	a := cleanRun(t, false)
-	b := cleanRun(t, true)
+// TestSnapshotIDStableAcrossCheckLevels runs a clean trial to
+// completion at the fast and the reference check level and snapshots
+// the final architected state: the content-addressed ids must agree, so
+// a replay coordinate taken on a reference machine names the same
+// state on a fast one.
+func TestSnapshotIDStableAcrossCheckLevels(t *testing.T) {
+	t.Parallel()
+	a := cleanRun(t, mach.CheckFast)
+	b := cleanRun(t, mach.CheckReference)
+	checkLevels(t, a, b)
 	if a.SnapshotID() != b.SnapshotID() {
-		t.Fatalf("boot snapshot ids differ: elided=%s checked=%s", a.SnapshotID(), b.SnapshotID())
+		t.Fatalf("boot snapshot ids differ: fast=%s reference=%s", a.SnapshotID(), b.SnapshotID())
 	}
 	sa, err := a.m.Snapshot()
 	if err != nil {
@@ -507,7 +515,7 @@ func TestSnapshotIDStableAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sa.ID() != sb.ID() {
-		t.Errorf("post-run snapshot ids differ: elided=%s checked=%s", sa.ID(), sb.ID())
+		t.Errorf("post-run snapshot ids differ: fast=%s reference=%s", sa.ID(), sb.ID())
 	}
 }
 

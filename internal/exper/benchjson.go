@@ -9,7 +9,6 @@ import (
 	"opec/internal/apps"
 	"opec/internal/core"
 	"opec/internal/inject"
-	"opec/internal/mach"
 	"opec/internal/monitor"
 	"opec/internal/run"
 )
@@ -32,8 +31,10 @@ import (
 // interpreter A/B on the dispatch-bound sweep and every workload); v7
 // the fuzz section (coverage-guided campaign throughput plus the
 // guided-vs-random unique-edge inequality); v8 drops the backend
-// section with the translation engine it measured (DESIGN.md §12).
-const BenchSchema = "opec-bench/mach/v8"
+// section with the translation engine it measured (DESIGN.md §12); v9
+// drops the proof section's single-sample elision throughput pair,
+// keeping its coverage columns.
+const BenchSchema = "opec-bench/mach/v9"
 
 // BenchSchemes is the fixed execution-scheme order of the report.
 var BenchSchemes = []string{"vanilla", "opec", "aces"}
@@ -76,20 +77,13 @@ type BenchRecovery struct {
 }
 
 // BenchProof is one workload's proof-engine summary: the static proof
-// coverage of its OPEC build and the simulator throughput of the OPEC
-// scheme with certificate consumption on (the default) versus off
-// (OPEC_MACH_NOPROOF) — the elision win. Cycle counts are identical
-// either way (the elided path charges the same modeled cost); only
-// wall-clock throughput moves.
+// coverage of its OPEC build.
 type BenchProof struct {
 	App         string  `json:"app"`
 	Static      int     `json:"static_accesses"`
 	Proven      int     `json:"proven"`
 	Rejected    int     `json:"rejected"`
 	CoveragePct float64 `json:"coverage_pct"`
-	// SimMIPSElide / SimMIPSNoProof are one timed OPEC run each.
-	SimMIPSElide   float64 `json:"sim_mips_elide"`
-	SimMIPSNoProof float64 `json:"sim_mips_noproof"`
 }
 
 // BenchSnapshot is the fork-engine measurement (schema v5): the same
@@ -160,8 +154,7 @@ type BenchReport struct {
 	// `opec-bench -exp profile` renders), with each run's unified
 	// counter snapshot.
 	Profile []ProfileRow `json:"profile"`
-	// Proof is the per-workload proof-coverage and elision-throughput
-	// section (schema v4).
+	// Proof is the per-workload proof-coverage section (schema v4).
 	Proof []BenchProof `json:"proof"`
 	// Snapshot is the fork-engine latency/throughput/differential
 	// section (schema v5).
@@ -178,7 +171,7 @@ func CollectBench(s AppSet, parallel int) (*BenchReport, error) {
 	rep := &BenchReport{Schema: BenchSchema, Scale: scaleName(s), Parallel: parallel}
 
 	acesSet := make(map[string]bool)
-	for _, app := range acesAppsFor(s) {
+	for _, app := range acesApps(AppsFor(s)) {
 		acesSet[app.Name] = true
 	}
 	for _, app := range AppsFor(s) {
@@ -431,11 +424,7 @@ func InjectRunsIdentical(boot, fork []InjectRow) bool {
 	return true
 }
 
-// measureProof collects one workload's proof-coverage summary and the
-// elision throughput pair: two serial timed OPEC runs, one consuming
-// certificates (the default) and one with proof consumption disabled.
-// The runs execute serially and restore the global kill switch, so the
-// measurement composes with any surrounding sweep.
+// measureProof collects one workload's proof-coverage summary.
 func measureProof(app *apps.App) (BenchProof, error) {
 	inst := app.New()
 	b, err := core.Compile(inst.Mod, inst.Board, inst.Cfg)
@@ -449,23 +438,6 @@ func measureProof(app *apps.App) (BenchProof, error) {
 			pr.CoveragePct = 100 * float64(pr.Proven) / float64(pr.Static)
 		}
 	}
-
-	saved := mach.DisableProofs
-	defer func() { mach.DisableProofs = saved }()
-
-	mach.DisableProofs = false
-	we, err := benchOne(app.Name, "opec", func() (*run.Result, error) { return run.OPEC(app.New()) })
-	if err != nil {
-		return BenchProof{}, err
-	}
-	pr.SimMIPSElide = we.SimMIPS
-
-	mach.DisableProofs = true
-	wn, err := benchOne(app.Name, "opec", func() (*run.Result, error) { return run.OPEC(app.New()) })
-	if err != nil {
-		return BenchProof{}, err
-	}
-	pr.SimMIPSNoProof = wn.SimMIPS
 	return pr, nil
 }
 
@@ -575,7 +547,7 @@ func ValidateBenchReport(data []byte) (*BenchReport, error) {
 		have[w.App+"/"+w.Scheme] = w
 	}
 	acesSet := make(map[string]bool)
-	for _, app := range acesAppsFor(scale) {
+	for _, app := range acesApps(AppsFor(scale)) {
 		acesSet[app.Name] = true
 	}
 	for _, app := range AppsFor(scale) {
@@ -629,8 +601,7 @@ func ValidateBenchReport(data []byte) (*BenchReport, error) {
 	}
 
 	// Proof section (v4): one row per workload with a sane coverage
-	// figure and positive throughput on both sides of the kill switch.
-	// The proof engine's acceptance floor — coverage of at least half
+	// figure. The proof engine's acceptance floor — coverage of at least half
 	// the static accesses on at least five workloads — is enforced here
 	// so a precision regression cannot regenerate a valid baseline.
 	haveProof := make(map[string]BenchProof, len(rep.Proof))
@@ -648,9 +619,6 @@ func ValidateBenchReport(data []byte) (*BenchReport, error) {
 		}
 		if p.Rejected != 0 {
 			return nil, fmt.Errorf("bench report: proof row %s has %d rejected accesses — the build should not have compiled", app.Name, p.Rejected)
-		}
-		if p.SimMIPSElide <= 0 || p.SimMIPSNoProof <= 0 {
-			return nil, fmt.Errorf("bench report: proof row %s lacks throughput: %+v", app.Name, p)
 		}
 		if p.CoveragePct >= 50 {
 			covered++

@@ -49,11 +49,9 @@ func AppsFor(s AppSet) []*apps.App {
 	}
 }
 
-// acesAppsFor returns the five ACES-comparison workloads (Section 6.4).
-func acesAppsFor(s AppSet) []*apps.App {
-	all := AppsFor(s)
-	return []*apps.App{all[0], all[1], all[2], all[3], all[4]}
-}
+// acesApps returns the five ACES-comparison workloads (Section 6.4) of
+// a scale's workload list.
+func acesApps(all []*apps.App) []*apps.App { return all[:5] }
 
 // Strategies is the evaluated ACES policy order.
 var Strategies = []aces.Strategy{aces.Filename, aces.FilenameNoOpt, aces.Peripheral}
@@ -97,7 +95,7 @@ type Table1Row struct {
 
 // Table1 computes the Table 1 metrics for every workload.
 func (h *Harness) Table1(s AppSet) ([]Table1Row, error) {
-	appList := AppsFor(s)
+	appList := h.appsFor(s)
 	rows := make([]Table1Row, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]
@@ -168,7 +166,7 @@ type Figure9Row struct {
 // Figure9 measures runtime, Flash and SRAM overheads for every
 // workload.
 func (h *Harness) Figure9(s AppSet) ([]Figure9Row, error) {
-	appList := AppsFor(s)
+	appList := h.appsFor(s)
 	rows := make([]Figure9Row, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		row, err := h.figure9One(appList[i], s)
@@ -228,7 +226,7 @@ type Table2Row struct {
 // Table2 runs the five ACES applications under OPEC and all three ACES
 // strategies.
 func (h *Harness) Table2(s AppSet) ([]Table2Row, error) {
-	appList := acesAppsFor(s)
+	appList := acesApps(h.appsFor(s))
 	perApp := make([][]Table2Row, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]
@@ -293,7 +291,7 @@ var Figure10Thresholds = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.
 // three strategies (plus OPEC's, which is identically zero — included
 // so the claim is produced by measurement, not assumption).
 func (h *Harness) Figure10(s AppSet) ([]Figure10Series, error) {
-	appList := acesAppsFor(s)
+	appList := acesApps(h.appsFor(s))
 	perApp := make([][]Figure10Series, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]
@@ -349,7 +347,7 @@ type Figure11Series struct {
 // per-task execution-time over-privilege under OPEC and the three ACES
 // strategies.
 func (h *Harness) Figure11(s AppSet) ([]Figure11Series, error) {
-	appList := acesAppsFor(s)
+	appList := acesApps(h.appsFor(s))
 	perApp := make([][]Figure11Series, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]
@@ -403,7 +401,7 @@ type Table3Row struct {
 
 // Table3 reports the indirect-call resolution statistics per workload.
 func (h *Harness) Table3(s AppSet) ([]Table3Row, error) {
-	appList := AppsFor(s)
+	appList := h.appsFor(s)
 	rows := make([]Table3Row, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]

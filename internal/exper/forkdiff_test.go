@@ -57,38 +57,45 @@ func TestInjectForkMatchesBoot(t *testing.T) {
 	}
 }
 
-// TestInjectCampaignBackendIdentity runs the seeded campaign three
-// ways. The oracle is the boot engine on machines without lookup caches
-// (OPEC_MACH_NOCACHE): every trial from power-on, every MPU verdict and
-// device lookup made afresh. The boot engine with its caches on, and
-// the fork engine with its caches on and every elided access
-// re-adjudicated, must match it byte for byte. The fork leg is the
+// TestInjectCampaignAgreesAcrossCheckLevels runs the seeded campaign
+// three ways. The oracle is the boot engine at the reference level:
+// every trial from power-on, every MPU verdict and device lookup made
+// afresh, no certificate held. The boot engine at the fast level, and
+// the fork engine at the paranoid level (caches on, every elided access
+// re-adjudicated), must match it byte for byte. The fork leg is the
 // end-to-end check that machines forked trial after trial, whose
 // micro-TLB and device cache stay warm between restores, replay
-// exactly. (The name dates from when the other two legs ran on a
-// second, translating engine.)
-func TestInjectCampaignBackendIdentity(t *testing.T) {
+// exactly. Each harness's clean OPEC runs, which fix the trial budgets,
+// must show its level applied.
+func TestInjectCampaignAgreesAcrossCheckLevels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign replays every workload in -short mode")
 	}
-	savedP, savedC := mach.ParanoidProofs, mach.DisableCaches
-	defer func() { mach.ParanoidProofs, mach.DisableCaches = savedP, savedC }()
+	t.Parallel()
 	cfg := tinyCampaign(11)
 	pol := monitor.Policy{Kind: monitor.RestartOperation}
 
-	table := func(uncached, paranoid bool, engine InjectEngine) string {
-		mach.DisableCaches, mach.ParanoidProofs = uncached, paranoid
-		rows, err := NewHarness(0).InjectWith(Quick, cfg, pol, engine)
+	table := func(c mach.Checks, engine InjectEngine) string {
+		h := NewHarness(0)
+		h.checks = c
+		rows, err := h.InjectWith(Quick, cfg, pol, engine)
 		if err != nil {
-			t.Fatalf("uncached=%v paranoid=%v %v: %v", uncached, paranoid, engine, err)
+			t.Fatalf("%s %v: %v", c, engine, err)
+		}
+		for _, app := range h.appsFor(Quick) {
+			ro, err := h.Cache.OPECRun(app, Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLevelApplied(t, c, app.Name+" OPEC", ro.Machine, true)
 		}
 		return RenderInject(rows)
 	}
-	oracle := table(true, false, EngineBoot)
-	if got := table(false, false, EngineBoot); got != oracle {
-		t.Errorf("cached boot campaign differs:\n--- uncached ---\n%s--- cached ---\n%s", oracle, got)
+	oracle := table(mach.CheckReference, EngineBoot)
+	if got := table(mach.CheckFast, EngineBoot); got != oracle {
+		t.Errorf("fast boot campaign differs:\n--- reference boot ---\n%s--- fast boot ---\n%s", oracle, got)
 	}
-	if got := table(false, true, EngineFork); got != oracle {
-		t.Errorf("paranoid fork campaign differs:\n--- uncached boot ---\n%s--- paranoid fork ---\n%s", oracle, got)
+	if got := table(mach.CheckParanoid, EngineFork); got != oracle {
+		t.Errorf("paranoid fork campaign differs:\n--- reference boot ---\n%s--- paranoid fork ---\n%s", oracle, got)
 	}
 }

@@ -31,7 +31,7 @@ const (
 // workload scripting a network receive queue) at the harness's
 // parallelism.
 func (h *Harness) Fuzz(s AppSet, seed int64, budget int, random bool, pol monitor.Policy) (*fuzz.Report, error) {
-	for _, app := range AppsFor(s) {
+	for _, app := range h.appsFor(s) {
 		if app.Name == "TCP-Echo" {
 			return fuzz.Run(fuzz.Options{
 				App: app, Seed: seed, Budget: budget, Parallel: h.parallel,

@@ -18,19 +18,26 @@ var keyOverwriteSpec = inject.Spec{
 	Target: "KEY", Value: 0xEE,
 }
 
-// traceKeyOverwrite replays the exploit under the restart policy with a
-// trace attached and returns the deterministic text render.
-func traceKeyOverwrite(t *testing.T) string {
+// traceKeyOverwrite replays the exploit on a fresh forge at check level
+// c under the restart policy with a trace attached, checks the level
+// applied, and returns the deterministic text render.
+func traceKeyOverwrite(t *testing.T, c mach.Checks) string {
 	t.Helper()
+	forge, err := inject.NewForge(apps.PinLockN(1).WithChecks(c))
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := trace.NewBuffer(0)
-	out, err := inject.TraceOPEC(apps.PinLockN(1), keyOverwriteSpec,
-		monitor.Policy{Kind: monitor.RestartOperation}, 0, buf)
+	var m *mach.Machine
+	out, err := forge.ObservedRun(keyOverwriteSpec, monitor.Policy{Kind: monitor.RestartOperation}, 0, buf, false,
+		func(fm *mach.Machine) { m = fm })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Verdict != inject.Recovered {
 		t.Fatalf("exploit verdict = %v, want %v", out.Verdict, inject.Recovered)
 	}
+	checkLevelApplied(t, c, "the KEY overwrite", m, false)
 	return buf.RenderText()
 }
 
@@ -38,10 +45,11 @@ func traceKeyOverwrite(t *testing.T) string {
 // KEY-overwrite exploit: the gate enters Lock_Task, the MPU raises a
 // MemManage write fault on KEY's public original, and the policy
 // restarts the operation — in that order, byte-identically across
-// repeated runs and with the simulator's lookup caches disabled
+// repeated runs and on a reference machine, without lookup caches
 // (extending the cache-transparency invariant to the event trace).
 func TestGoldenKeyOverwriteTrace(t *testing.T) {
-	golden := traceKeyOverwrite(t)
+	t.Parallel()
+	golden := traceKeyOverwrite(t, mach.CheckFast)
 
 	// Ordered containment chain: gate enter → MemManage fault → restart.
 	// Each link is anchored after the previous one; boot-time emulation
@@ -61,27 +69,22 @@ func TestGoldenKeyOverwriteTrace(t *testing.T) {
 		t.Fatalf("no restart recovery after the fault:\n%s", golden)
 	}
 
-	if again := traceKeyOverwrite(t); again != golden {
+	if again := traceKeyOverwrite(t, mach.CheckFast); again != golden {
 		t.Error("trace differs between identical runs")
 	}
-
-	saved := mach.DisableCaches
-	defer func() { mach.DisableCaches = saved }()
-	mach.DisableCaches = !saved
-	if uncached := traceKeyOverwrite(t); uncached != golden {
-		t.Error("trace differs with lookup caches toggled: caches are not transparent to events")
+	if ref := traceKeyOverwrite(t, mach.CheckReference); ref != golden {
+		t.Error("trace differs on a reference machine: the lookup caches are not transparent to events")
 	}
 }
 
-// TestGoldenKeyOverwriteTraceXlat extends the golden-trace invariant to
-// a reused forge: after its machine has run other trials — a
-// coverage-traced one among them, as fuzzing runs, and clean ones that
-// consume certificates — the §6.1 exploit's full event stream must
+// TestGoldenKeyOverwriteTraceOnReusedForge extends the golden-trace
+// invariant to a reused forge: after its machine has run other trials —
+// a coverage-traced one among them, as fuzzing runs, and clean ones
+// that consume certificates — the §6.1 exploit's full event stream must
 // render byte-identically to a fresh forge's. Each fork-restore must
-// rewind everything the stream shows. (The name dates from when the
-// invariant was extended to a second, translating engine.)
-func TestGoldenKeyOverwriteTraceXlat(t *testing.T) {
-	golden := traceKeyOverwrite(t)
+// rewind everything the stream shows.
+func TestGoldenKeyOverwriteTraceOnReusedForge(t *testing.T) {
+	golden := traceKeyOverwrite(t, mach.CheckFast)
 	forge, err := inject.NewForge(apps.PinLockN(1))
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,9 @@ package exper
 import (
 	"runtime"
 	"sync"
+
+	"opec/internal/apps"
+	"opec/internal/mach"
 )
 
 // Harness runs the evaluation's experiments over a shared build cache
@@ -21,6 +24,8 @@ type Harness struct {
 	Cache *Cache
 
 	parallel int
+	// checks is the check level of every machine the harness runs.
+	checks mach.Checks
 }
 
 // NewHarness returns a harness with an empty cache running at most
@@ -34,6 +39,15 @@ func NewHarness(parallel int) *Harness {
 
 // Parallel returns the harness's worker limit.
 func (h *Harness) Parallel() int { return h.parallel }
+
+// appsFor is AppsFor at the harness's check level.
+func (h *Harness) appsFor(s AppSet) []*apps.App {
+	list := AppsFor(s)
+	for i, app := range list {
+		list[i] = app.WithChecks(h.checks)
+	}
+	return list
+}
 
 // forEach runs fn(i) for every i in [0, n) on up to h.parallel workers
 // and waits for all of them. All n jobs run even when one fails; the

@@ -162,11 +162,12 @@ func aggregateInject(plans []*rowPlan) []InjectRow {
 // planInject fixes the campaign's rows, trial lists and budgets.
 func (h *Harness) planInject(s AppSet, cfg inject.Config, pol monitor.Policy) ([]*rowPlan, error) {
 	var plans []*rowPlan
+	appList := h.appsFor(s)
 	acesSet := make(map[string]bool)
-	for _, app := range acesAppsFor(s) {
+	for _, app := range acesApps(appList) {
 		acesSet[app.Name] = true
 	}
-	for _, app := range AppsFor(s) {
+	for _, app := range appList {
 		a, err := h.Cache.opecArtifact(app, s)
 		if err != nil {
 			return nil, fmt.Errorf("inject: %w", err)

@@ -43,7 +43,7 @@ type ProfileRow struct {
 // Profile runs every workload at scale s under OPEC with tracing and
 // returns one attribution row per workload, in application order.
 func (h *Harness) Profile(s AppSet) ([]ProfileRow, error) {
-	appList := AppsFor(s)
+	appList := h.appsFor(s)
 	rows := make([]ProfileRow, len(appList))
 	err := h.forEach(len(appList), func(i int) error {
 		app := appList[i]

@@ -40,31 +40,62 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// The simulator's lookup caches (the MPU micro-TLB and the bus's
-// last-device cache, OPEC_MACH_NOCACHE semantics) must drive every
-// trial — including its coverage event stream — as an uncached machine
-// does, so the whole campaign agrees with them disabled. Every worker's
-// forge keeps one machine across its trials, so this also pins that a
-// fork-restore leaves no cache entry of the previous trial behind. (The
-// name dates from when the other campaign ran on a second, translating
-// engine.)
-func TestCampaignDeterministicAcrossBackends(t *testing.T) {
-	saved := mach.DisableCaches
-	defer func() { mach.DisableCaches = saved }()
-	opts := testOptions()
-	opts.Parallel = 4
-	mach.DisableCaches = false
-	cached, err := Run(opts)
+// A campaign renders the same summary at every check level: the
+// simulator's lookup caches (the MPU micro-TLB and the bus's
+// last-device cache) and certificate elision must drive every trial,
+// its coverage event stream included, as a reference machine that has
+// neither does, and re-adjudicating every elided access must change
+// nothing. Every worker's forge keeps one machine across its trials, so
+// this also pins that a fork-restore leaves no cache entry of the
+// previous trial behind. A clean trial on a forge of each level's app
+// must show the level applied.
+func TestCampaignDeterministicAcrossCheckLevels(t *testing.T) {
+	t.Parallel()
+	var want string
+	for _, c := range []mach.Checks{mach.CheckReference, mach.CheckFast, mach.CheckParanoid} {
+		opts := testOptions()
+		opts.App = opts.App.WithChecks(c)
+		opts.Parallel = 4
+		rep, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == mach.CheckReference {
+			want = rep.Render()
+		} else if got := rep.Render(); got != want {
+			t.Errorf("summary at the %s level differs from the reference:\n--- got ---\n%s--- reference ---\n%s", c, got, want)
+		}
+		checkLevelApplied(t, opts.App, c)
+	}
+}
+
+// checkLevelApplied runs one clean trial of app on a fresh forge and
+// fails t unless its counters show level c: a reference machine elides
+// nothing and hits no lookup cache, a fast or paranoid one elides.
+func checkLevelApplied(t *testing.T, app *apps.App, c mach.Checks) {
+	t.Helper()
+	forge, err := inject.NewForge(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach.DisableCaches = true
-	uncached, err := Run(opts)
-	if err != nil {
+	var m *mach.Machine
+	if _, err := forge.Trial(nil, testOptions().Policy, 0, nil, false, func(fm *mach.Machine) { m = fm }); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := uncached.Render(), cached.Render(); got != want {
-		t.Errorf("summary with lookup caches disabled differs:\n--- uncached ---\n%s--- cached ---\n%s", got, want)
+	counters := map[string]uint64{}
+	for _, k := range m.Counters() {
+		counters[k.Name] = k.Value
+	}
+	if c != mach.CheckReference {
+		if counters["mach.proofs.elided"] == 0 {
+			t.Errorf("%s level: a clean trial elided no access", c)
+		}
+		return
+	}
+	for _, name := range []string{"mach.proofs.elided", "mach.tlb.hits", "mach.bus.dev_cache_hits"} {
+		if n := counters[name]; n != 0 {
+			t.Errorf("reference level: a clean trial reads %s = %d, want 0", name, n)
+		}
 	}
 }
 

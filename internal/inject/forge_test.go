@@ -40,24 +40,21 @@ func TestForgeMatchesPowerOnTrial(t *testing.T) {
 	}
 }
 
-// The certificate-lifecycle regression (restart-after-injection under
-// OPEC_MACH_PARANOID semantics): the restore that starts every forge
-// trial reinstates the boot-time certificate table, and the Arm hook
-// clears it again before the trial runs. If that ordering were
-// reversed, an in-trial restart would execute the corrupted operation
-// with elision re-enabled, and paranoid mode would panic on the first
-// elided access that disagrees with the full protection check — which
-// the forge's recover would surface as a CrashedMonitor verdict.
+// The certificate-lifecycle regression (restart-after-injection on a
+// paranoid forge): the restore that starts every forge trial reinstates
+// the boot-time certificate table, and the Arm hook clears it again
+// before the trial runs. If that ordering were reversed, an in-trial
+// restart would execute the corrupted operation with elision
+// re-enabled, and the paranoid machine would panic on the first elided
+// access that disagrees with the full protection check — which the
+// forge's recover would surface as a CrashedMonitor verdict.
 //
 // The rogue store is the known restart driver (contained by the MPU,
 // operation restarted once); the planned bit-flip trials sweep the
 // same lifecycle across corrupted-data runs.
 func TestForgeRestartAfterInjectionParanoid(t *testing.T) {
-	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
-	defer func() { mach.ParanoidProofs, mach.DisableProofs = savedP, savedD }()
-	mach.ParanoidProofs, mach.DisableProofs = true, false
-
-	app := apps.PinLockN(2)
+	t.Parallel()
+	app := apps.PinLockN(2).WithChecks(mach.CheckParanoid)
 	forge, err := NewForge(app)
 	if err != nil {
 		t.Fatal(err)
@@ -96,41 +93,32 @@ func TestForgeRestartAfterInjectionParanoid(t *testing.T) {
 	}
 }
 
-// TestForgeBitFlipAfterForkXlatParanoid is the regression for state a
-// forge machine carries from one trial into the next. The restore that
-// starts every trial must drop the derived lookup caches (micro-TLB
-// entries, the last-device cache) and reinstate the boot-time
-// certificates, which the Arm hook of an injected trial clears again.
-// One forge runs with its caches on and every elided access
-// re-adjudicated (paranoid: a certificate the MPU denies panics into a
-// CrashedMonitor verdict); a reference forge runs uncached
-// (OPEC_MACH_NOCACHE) and consumes no certificates (OPEC_MACH_NOPROOF).
-// Both run the §6.1 rogue store and every planned bit flip, each
-// followed by a clean trial. Every outcome field must agree, the first
-// forge's injected trials must elide nothing, and its clean ones must
-// elide. (The name dates from when the other forge ran a second,
-// translating engine, whose cache could have kept a certificate-fused
-// path across forks.)
-func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
-	savedP, savedD, savedC := mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches
-	defer func() {
-		mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = savedP, savedD, savedC
-	}()
-	paranoid := func() { mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = true, false, false }
-	reference := func() { mach.ParanoidProofs, mach.DisableProofs, mach.DisableCaches = false, true, true }
-
+// TestForgeBitFlipAfterForkMatchesReference is the regression for
+// state a forge machine carries from one trial into the next. The
+// restore that starts every trial must drop the derived lookup caches
+// (micro-TLB entries, the last-device cache) and reinstate the
+// boot-time certificates, which the Arm hook of an injected trial
+// clears again. One forge runs at the paranoid level, caches on and
+// every elided access re-adjudicated (a certificate the MPU denies
+// panics into a CrashedMonitor verdict); a reference forge runs without
+// caches or certificates. Both run the §6.1 rogue store and every
+// planned bit flip, each followed by a clean trial. Every outcome field
+// must agree; the paranoid forge's injected trials must elide nothing
+// and its clean ones must elide; the reference forge must elide nothing
+// and hit no lookup cache.
+func TestForgeBitFlipAfterForkMatchesReference(t *testing.T) {
+	t.Parallel()
 	app := apps.PinLockN(2)
 	pol := monitor.Policy{Kind: monitor.RestartOperation}
-	mkForge := func(mode func()) *Forge {
+	mkForge := func(c mach.Checks) *Forge {
 		t.Helper()
-		mode() // a machine reads DisableCaches when its bus is built
-		f, err := NewForge(app)
+		f, err := NewForge(app.WithChecks(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	fp, fr := mkForge(paranoid), mkForge(reference)
+	fp, fr := mkForge(mach.CheckParanoid), mkForge(mach.CheckReference)
 
 	inst, b := compilePinLock(t, 2)
 	specs := []Spec{
@@ -142,12 +130,12 @@ func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
 		}
 	}
 
-	// elided reads mach.proofs.elided, a statistic restores leave
-	// running, off the paranoid forge's machine.
-	var m *mach.Machine
-	elided := func() uint64 {
+	// counter reads one counter off a forge's machine; elided counts
+	// from the checkpoint, which a restore rewinds it to.
+	var mp, mr *mach.Machine
+	counter := func(m *mach.Machine, name string) uint64 {
 		for _, c := range m.Counters() {
-			if c.Name == "mach.proofs.elided" {
+			if c.Name == name {
 				return c.Value
 			}
 		}
@@ -156,21 +144,26 @@ func TestForgeBitFlipAfterForkXlatParanoid(t *testing.T) {
 	var cleanElided uint64
 	trial := func(name string, spec *Spec) {
 		t.Helper()
-		paranoid()
 		var before uint64
-		op, err := fp.Trial(spec, pol, 0, nil, false, func(fm *mach.Machine) { m = fm; before = elided() })
+		op, err := fp.Trial(spec, pol, 0, nil, false, func(m *mach.Machine) {
+			mp, before = m, counter(m, "mach.proofs.elided")
+		})
 		if err != nil {
 			t.Fatalf("%s paranoid: %v", name, err)
 		}
-		if n := elided() - before; spec == nil {
+		if n := counter(mp, "mach.proofs.elided") - before; spec == nil {
 			cleanElided += n
 		} else if n != 0 {
 			t.Errorf("%s: an injected trial elided %d accesses; it must run fully checked", name, n)
 		}
-		reference()
-		or, err := fr.Trial(spec, pol, 0, nil, false, nil)
+		or, err := fr.Trial(spec, pol, 0, nil, false, func(m *mach.Machine) { mr = m })
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)
+		}
+		for _, c := range []string{"mach.proofs.elided", "mach.tlb.hits", "mach.bus.dev_cache_hits"} {
+			if n := counter(mr, c); n != 0 {
+				t.Errorf("%s: the reference forge reads %s = %d, want 0", name, c, n)
+			}
 		}
 		if op.Verdict == CrashedMonitor && or.Verdict != CrashedMonitor {
 			t.Errorf("%s: paranoid trial crashed where the reference did not (stale certificate?): %s", name, op.Err)

@@ -155,6 +155,9 @@ type Bus struct {
 	lastEnd    uint32
 	noDevCache bool
 
+	// checks is the check level SetChecks applied.
+	checks Checks
+
 	// rawWatch, when non-nil, observes raw (check-bypassing) writes —
 	// the watch seam's hardware-level half (watch.go).
 	rawWatch func(addr uint32, size int, val uint32)
@@ -190,11 +193,18 @@ func NewBus(flashSize, sramSize int, clk *Clock) *Bus {
 		flash: newPagedMem(flashSize),
 		sram:  newPagedMem(sramSize),
 	}
-	b.MPU.NoCache = DisableCaches
 	b.MPU.Clock = clk
-	b.noDevCache = DisableCaches
 	b.Prot = b.MPU
 	return b
+}
+
+// SetChecks sets the bus's check level, before anything boots on it: a
+// CheckReference bus runs without its lookup caches, and its machine
+// installs no certificates.
+func (b *Bus) SetChecks(c Checks) {
+	b.checks = c
+	b.MPU.NoCache = c == CheckReference
+	b.noDevCache = c == CheckReference
 }
 
 // Counters implements trace.CounterSource for the bus and its

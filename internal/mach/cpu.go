@@ -627,7 +627,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 		}
 		var v uint32
 		if c := certs; c != nil && uint(in.ID()) < uint(len(c)) &&
-			c[in.ID()]&CertLoad != 0 && !m.Privileged && !DisableProofs {
+			c[in.ID()]&CertLoad != 0 && !m.Privileged {
 			v, err = m.loadProven(addr, in.Typ.Size())
 		} else {
 			v, err = m.loadChecked(addr, in.Typ.Size())
@@ -647,7 +647,7 @@ func (m *Machine) step(fr *frame, in *ir.Instr, localBase uint32, certs []byte, 
 			return err
 		}
 		if c := certs; c != nil && uint(in.ID()) < uint(len(c)) &&
-			c[in.ID()]&CertStore != 0 && !m.Privileged && !DisableProofs {
+			c[in.ID()]&CertStore != 0 && !m.Privileged {
 			return m.storeProven(addr, in.Typ.Size(), v)
 		}
 		return m.storeChecked(addr, in.Typ.Size(), v)

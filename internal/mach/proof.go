@@ -1,9 +1,6 @@
 package mach
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // This file implements the proof-guided MPU-check elision fast path.
 // The static proof engine (internal/absint) certifies, per function and
@@ -17,8 +14,8 @@ import (
 // change wall-clock time only. The elided path charges the same CostMem,
 // performs the same bus routing (PPB privilege checks and unmapped-
 // address BusFaults still fire), and produces the same values, so cycle
-// accounting and rendered experiment tables are byte-identical with
-// elision disabled (DisableProofs / OPEC_MACH_NOPROOF). Only the
+// accounting and rendered experiment tables are byte-identical on a
+// CheckReference machine, which holds no certificates. Only the
 // micro-TLB hit/miss counters may drift, since elided accesses never
 // consult it.
 //
@@ -31,21 +28,30 @@ import (
 //     hardware ever replays it privileged;
 //   - regions whose runtime contents vary (the stack region's SRD mask,
 //     virtualized peripheral slots) are never used to justify a proof.
-// The paranoid mode re-adjudicates every elided access through the full
-// checked path and panics on any disagreement — the differential
-// harness for those arguments.
+// A CheckParanoid machine re-adjudicates every elided access through
+// the full checked path and panics on any disagreement — the
+// differential harness for those arguments.
 
-// DisableProofs disables certificate consumption: every access takes
-// the fully adjudicated path even when a proof exists. Initialised from
-// the OPEC_MACH_NOPROOF environment variable; the proof-transparency
-// tests toggle it directly to prove runs are value-identical either way.
-var DisableProofs = os.Getenv("OPEC_MACH_NOPROOF") != ""
+// Checks is a machine's check level: which of the simulator's fast
+// paths run, and whether they are trusted. Bus.SetChecks applies it
+// before the machine boots; the zero value is CheckFast.
+type Checks uint8
 
-// ParanoidProofs makes every elided access re-run the full protection
-// check and panic if the static certificate and the dynamic verdict
-// disagree. Initialised from OPEC_MACH_PARANOID; the soundness sweep
-// enables it across the whole experiment suite.
-var ParanoidProofs = os.Getenv("OPEC_MACH_PARANOID") != ""
+const (
+	// CheckFast runs every fast path: the micro-TLB, the last-device
+	// cache and certificate elision.
+	CheckFast Checks = iota
+	// CheckReference turns the lookup caches off and installs no
+	// certificates, so the MPU adjudicates every access: the reference
+	// the fast paths must match.
+	CheckReference
+	// CheckParanoid runs the fast paths but re-adjudicates every elided
+	// access, and panics on a certificate the MPU denies.
+	CheckParanoid
+)
+
+// String names the level.
+func (c Checks) String() string { return [...]string{"fast", "reference", "paranoid"}[c] }
 
 // Certificate bits for one instruction slot: the proof engine sets
 // CertLoad when the instruction's load is proven in-region, CertStore
@@ -60,8 +66,12 @@ const (
 // each byte holds CertLoad/CertStore bits. Functions without an entry
 // (nil inner slice) always take the checked path. The monitor installs
 // the table at boot on the MPU backend only: certificates are proven
-// against the ARMv7-M region plans and do not transfer to PMP.
+// against the ARMv7-M region plans and do not transfer to PMP. A
+// CheckReference machine installs none.
 func (m *Machine) InstallProofs(certs [][]byte) {
+	if m.Bus.checks == CheckReference {
+		certs = nil
+	}
 	for i := range m.metaByIdx {
 		if i < len(certs) {
 			m.metaByIdx[i].certs = certs[i]
@@ -72,15 +82,15 @@ func (m *Machine) InstallProofs(certs [][]byte) {
 }
 
 // loadProven performs a certified load: same cycle cost and bus routing
-// as loadChecked, minus the protection-unit adjudication. In paranoid
-// mode the full check runs anyway and a denial is a proof-soundness
-// violation.
+// as loadChecked, minus the protection-unit adjudication. On a
+// CheckParanoid machine the full check runs anyway and a denial is a
+// proof-soundness violation.
 func (m *Machine) loadProven(addr uint32, size int) (uint32, error) {
 	m.Clock.Advance(CostMem)
 	m.proofElided++
 	var v uint32
 	var f *Fault
-	if ParanoidProofs {
+	if m.Bus.checks == CheckParanoid {
 		v, f = m.Bus.Load(addr, size, m.Privileged)
 		if f != nil && f.Kind == FaultMemManage {
 			panic(fmt.Sprintf("mach: proof disagreement: certified read of %d bytes at %#08x denied by the protection unit", size, addr))
@@ -99,7 +109,7 @@ func (m *Machine) storeProven(addr uint32, size int, v uint32) error {
 	m.Clock.Advance(CostMem)
 	m.proofElided++
 	var f *Fault
-	if ParanoidProofs {
+	if m.Bus.checks == CheckParanoid {
 		f = m.Bus.Store(addr, size, v, m.Privileged)
 		if f != nil && f.Kind == FaultMemManage {
 			panic(fmt.Sprintf("mach: proof disagreement: certified write of %d bytes at %#08x denied by the protection unit", size, addr))

@@ -1,7 +1,13 @@
 package mach
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -49,11 +55,12 @@ var notState = map[string]string{
 	"Bus.lastDev":        "derived: last-device cache, dropped by invalidateDerived",
 	"Bus.lastBase":       "derived: last-device cache, dropped by invalidateDerived",
 	"Bus.lastEnd":        "derived: last-device cache, dropped by invalidateDerived",
-	"Bus.noDevCache":     "run configuration: DisableCaches at NewBus",
+	"Bus.noDevCache":     "run configuration: the check level, set by SetChecks",
+	"Bus.checks":         "run configuration: the check level, set by SetChecks before boot",
 	"Bus.rawWatch":       "run attachment: the raw-write watch, cleared by Restore",
 	"Bus.writes":         "derived: fast-forward witness input, only ever compared within one loop window",
 	"Bus.horizons":       "derived: the fast-forward's live log pointer, dropped by invalidateDerived",
-	"MPU.NoCache":        "run configuration: DisableCaches at NewBus",
+	"MPU.NoCache":        "run configuration: the check level, set by SetChecks",
 	"MPU.Trace":          "run attachment: the event bus, cleared by Restore",
 	"MPU.Clock":          "wiring: the clock that stamps MPU events",
 	"MPU.tlb":            "derived: micro-TLB entries, erased by invalidateDerived",
@@ -89,6 +96,71 @@ func TestStateFieldsAccountedFor(t *testing.T) {
 	for key := range notState {
 		if !listed[key] {
 			t.Errorf("notState lists %s, which is not a field", key)
+		}
+	}
+}
+
+// packageVars lists every package-level variable of the non-test files
+// of internal/mach and internal/run with the reason it is not a
+// process-wide switch. A run's configuration belongs to its machine (the
+// check level, which run applies from apps.Instance through
+// Bus.SetChecks), so a new global fails TestNoProcessSwitches until it
+// is either moved there or listed here with a reason.
+var packageVars = map[string]string{
+	"mach.errHalt":          "sentinel error: unwinds the interpreter on OpHalt",
+	"mach.ErrCycleLimit":    "sentinel error",
+	"mach.ErrStackOverflow": "sentinel error",
+	"mach.zeroPage":         "the frozen page every untouched page slot shares",
+}
+
+// TestNoProcessSwitches parses the non-test files of internal/mach and
+// internal/run and fails on a package-level variable packageVars does
+// not list, on a listed one that no longer exists, and on an os import:
+// nothing in either package may read the environment or keep a setting
+// that tests would have to save, flip and restore.
+func TestNoProcessSwitches(t *testing.T) {
+	found := map[string]bool{}
+	for pkg, dir := range map[string]string{"mach": ".", "run": "../run"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files in %s (%v)", pkg, dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "os" {
+					t.Errorf("%s imports os", path)
+				}
+			}
+			for _, d := range f.Decls {
+				g, ok := d.(*ast.GenDecl)
+				if !ok || g.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range g.Specs {
+					for _, name := range spec.(*ast.ValueSpec).Names {
+						if name.Name == "_" {
+							continue // binds nothing
+						}
+						key := pkg + "." + name.Name
+						found[key] = true
+						if packageVars[key] == "" {
+							t.Errorf("%s: package-level variable %s is not listed in packageVars with a reason", path, key)
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range packageVars {
+		if !found[key] {
+			t.Errorf("packageVars lists %s, which is not a package-level variable", key)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package mach
 
-import "os"
-
 // This file implements the MPU micro-TLB: a small direct-mapped cache
 // in front of the PMSAv7 matching loop. Real MPU hardware resolves the
 // region match combinationally; the simulator used to pay a linear
@@ -15,20 +13,13 @@ import "os"
 // Transparency invariant: the TLB may change wall-clock time only.
 // Architected behavior — which accesses fault, in what order, cycle
 // accounting, rendered experiment tables — is byte-identical with the
-// cache disabled (see DisableCaches / OPEC_MACH_NOCACHE).
+// cache disabled (NoCache, set on a CheckReference machine).
 //
 // Invalidation is a generation counter: every region write (SetRegion,
 // ClearRegion, RestoreRegions) and every Enabled change bumps gen, and
 // an entry is live only while its recorded generation matches. This
 // makes OPEC's per-operation-switch MPU reconfiguration O(1) for the
 // cache: no flush loop, stale entries simply stop matching.
-
-// DisableCaches disables the simulator's transparent lookup caches (the
-// MPU micro-TLB and the bus's last-device cache) for buses and MPUs
-// created afterwards. It is initialised from the OPEC_MACH_NOCACHE
-// environment variable; the differential cache-transparency tests also
-// toggle it directly to prove runs are value-identical either way.
-var DisableCaches = os.Getenv("OPEC_MACH_NOCACHE") != ""
 
 const (
 	tlbBits = 8

@@ -147,7 +147,7 @@ func TestTLBCounters(t *testing.T) {
 }
 
 // TestTLBCountersZeroWhenDisabled is the cache-ablation regression: with
-// the micro-TLB off (NoCache, as set by DisableCaches/OPEC_MACH_NOCACHE)
+// the micro-TLB off (NoCache, as a CheckReference bus sets it)
 // every access takes the architectural scan and the hit counter must
 // stay exactly zero — a non-zero value means the NoCache path leaked
 // through lookup().

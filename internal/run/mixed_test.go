@@ -15,9 +15,9 @@ import (
 // Random mixed workloads — bounded loops, the full binary-operator set,
 // arrays, stack round-trips, spilled arguments — compiled under OPEC,
 // whose proof engine certifies some of their accesses for elision. The
-// seven evaluation apps are the paranoid sweep's other inputs
-// (TestProofParanoidSweep); these programs reach operator, loop and
-// call shapes the apps do not.
+// seven evaluation apps are the check-level sweep's other inputs
+// (exper's TestCacheTransparency and TestProofTransparency); these programs reach
+// operator, loop and call shapes the apps do not.
 
 // genMixedProgram builds a random always-terminating program: long pure
 // ALU runs, cmp+branch loop back-edges, load+op+store sequences, helper
@@ -133,13 +133,13 @@ func genMixedProgram(rng *rand.Rand) (*ir.Module, core.Config) {
 	return m, core.Config{Entries: entries}
 }
 
-// mixedObs is what a checked or paranoid run must leave as the plain
-// run did.
+// mixedObs is what a run at any check level must leave as the
+// reference run did, plus the counters that show its level applied.
 type mixedObs struct {
-	err     string
-	cycles  uint64
-	globals []uint32
-	elided  uint64
+	err      string
+	cycles   uint64
+	globals  []uint32
+	counters map[string]uint64
 }
 
 func observeMixed(t *testing.T, res *run.Result, err error, m *ir.Module) mixedObs {
@@ -152,10 +152,9 @@ func observeMixed(t *testing.T, res *run.Result, err error, m *ir.Module) mixedO
 		return o
 	}
 	o.cycles = res.Cycles
+	o.counters = map[string]uint64{}
 	for _, c := range res.Machine.Counters() {
-		if c.Name == "mach.proofs.elided" {
-			o.elided = c.Value
-		}
+		o.counters[c.Name] = c.Value
 	}
 	for _, g := range m.Globals {
 		addr, f := res.Machine.GlobalAddr(g, true)
@@ -172,23 +171,22 @@ func observeMixed(t *testing.T, res *run.Result, err error, m *ir.Module) mixedO
 }
 
 // TestDifferentialInterpVsXlat is the interpreter's differential over
-// random mixed programs. Each of 250 seeds' OPEC build runs three ways:
-// with proof elision; with elision disabled, so that the MPU
-// adjudicates every access; and under ParanoidProofs, which re-checks
-// every certified access against the MPU and panics on one it denies.
-// The three runs must end alike in error text, cycles and final
-// globals, and the sweep as a whole must have elided accesses to
-// re-check. (The name dates from when these seeds also ran on a second,
-// translating engine, which the interpreter was the reference for.)
+// random mixed programs. Each of 250 seeds' OPEC build runs at the three
+// check levels: reference, where the MPU adjudicates every access with
+// no lookup cache or certificate; fast, with proof elision and the
+// caches; and paranoid, which re-checks every certified access against
+// the MPU and panics on one it denies. The three runs must end alike in
+// error text, cycles and final globals. Every reference run must elide
+// nothing and hit no lookup cache, and the fast and paranoid sweeps as
+// a whole must elide. (The name dates from when these seeds also ran on
+// a second, translating engine.)
 func TestDifferentialInterpVsXlat(t *testing.T) {
-	savedP, savedD := mach.ParanoidProofs, mach.DisableProofs
-	defer func() { mach.ParanoidProofs, mach.DisableProofs = savedP, savedD }()
+	t.Parallel()
 	board := mach.STM32F4Discovery()
-	var elided uint64
+	elided := map[mach.Checks]uint64{}
 	for seed := int64(0); seed < 250; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			opec := func(paranoid, noProofs bool) mixedObs {
-				mach.ParanoidProofs, mach.DisableProofs = paranoid, noProofs
+			opec := func(c mach.Checks) mixedObs {
 				m, cfg := genMixedProgram(rand.New(rand.NewSource(seed)))
 				b, err := core.Compile(m, board, cfg)
 				if err != nil {
@@ -196,39 +194,41 @@ func TestDifferentialInterpVsXlat(t *testing.T) {
 				}
 				inst := &apps.Instance{
 					Mod: m, Cfg: cfg, Board: board, Clk: &mach.Clock{},
-					MaxCycles: 10_000_000,
+					MaxCycles: 10_000_000, Checks: c,
 				}
 				res, rerr := run.OPECWith(inst, b, run.Options{})
-				return observeMixed(t, res, rerr, m)
+				o := observeMixed(t, res, rerr, m)
+				elided[c] += o.counters["mach.proofs.elided"]
+				return o
 			}
-			plain := opec(false, false)
-			elided += plain.elided
-			for _, other := range []struct {
-				name string
-				obs  mixedObs
-			}{
-				{"checked", opec(false, true)},
-				{"paranoid", opec(true, false)},
-			} {
-				o := other.obs
-				if plain.err != o.err {
-					t.Errorf("err:\n  plain: %s\n  %s: %s", plain.err, other.name, o.err)
+			ref := opec(mach.CheckReference)
+			for _, name := range []string{"mach.proofs.elided", "mach.tlb.hits", "mach.bus.dev_cache_hits"} {
+				if n := ref.counters[name]; n != 0 {
+					t.Errorf("reference run: %s = %d, want 0", name, n)
 				}
-				if plain.cycles != o.cycles {
-					t.Errorf("cycles: plain=%d %s=%d", plain.cycles, other.name, o.cycles)
+			}
+			for _, c := range []mach.Checks{mach.CheckFast, mach.CheckParanoid} {
+				o := opec(c)
+				if ref.err != o.err {
+					t.Errorf("err:\n  reference: %s\n  %s: %s", ref.err, c, o.err)
 				}
-				if len(plain.globals) != len(o.globals) {
-					t.Fatalf("global count: plain %d, %s %d", len(plain.globals), other.name, len(o.globals))
+				if ref.cycles != o.cycles {
+					t.Errorf("cycles: reference=%d %s=%d", ref.cycles, c, o.cycles)
 				}
-				for i := range plain.globals {
-					if plain.globals[i] != o.globals[i] {
-						t.Errorf("g%d: plain=%#x %s=%#x", i, plain.globals[i], other.name, o.globals[i])
+				if len(ref.globals) != len(o.globals) {
+					t.Fatalf("global count: reference %d, %s %d", len(ref.globals), c, len(o.globals))
+				}
+				for i := range ref.globals {
+					if ref.globals[i] != o.globals[i] {
+						t.Errorf("g%d: reference=%#x %s=%#x", i, ref.globals[i], c, o.globals[i])
 					}
 				}
 			}
 		})
 	}
-	if elided == 0 {
-		t.Fatal("no seed elided an access: the sweep re-checked nothing")
+	for _, c := range []mach.Checks{mach.CheckFast, mach.CheckParanoid} {
+		if elided[c] == 0 {
+			t.Errorf("no %s run elided an access: the sweep re-checked nothing", c)
+		}
 	}
 }

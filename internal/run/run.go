@@ -43,6 +43,7 @@ type Result struct {
 // newBus builds the bus for an instance and attaches its devices.
 func newBus(inst *apps.Instance) (*mach.Bus, error) {
 	bus := mach.NewBus(inst.Board.FlashSize, inst.Board.SRAMSize, inst.Clk)
+	bus.SetChecks(inst.Checks)
 	// Every board has the flash-interface block the clock bring-up
 	// programs, plus the GPIO ports the pin-mux table touches that the
 	// workloads don't model behaviourally.
