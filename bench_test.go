@@ -577,8 +577,8 @@ func BenchmarkCallDispatch(b *testing.B) {
 }
 
 // BenchmarkSimMIPS reports simulated instruction throughput per
-// workload under the vanilla image — the headline simulator speed
-// number BENCH_mach.json tracks.
+// workload under the vanilla image; layerbench's mach.sim_mips.*
+// metrics track the same figure over repeated passes.
 func BenchmarkSimMIPS(b *testing.B) {
 	for _, app := range benchApps() {
 		b.Run(app.Name, func(b *testing.B) {

@@ -21,8 +21,14 @@
 //	opec-bench -exp inject -quick -inject-engine diff
 //	opec-bench -exp fuzz -quick -fuzz-budget 2000 -assert-contained
 //	opec-bench -exp fuzz -quick -fuzz-random
-//	opec-bench -exp bench -benchjson BENCH_mach.json
-//	opec-bench -validate BENCH_mach.json
+//	opec-bench -exp bench > BENCH_mach.json
+//
+// -exp bench prints the exact performance ledger, BENCH_mach.json, on
+// stdout: per workload × scheme instruction, cycle and fast-forward
+// counts, and the recovery, profile, proof, snapshot and fuzz sections.
+// Every figure is deterministic, so a regeneration at any -parallel
+// equals the committed file byte for byte; the ledger's gates and the
+// fork engine's 10× floor over power-on boot fail the command instead.
 package main
 
 import (
@@ -44,8 +50,6 @@ func main() {
 	fuzzBudget := flag.Int("fuzz-budget", opec.FuzzBudget, "fuzz inputs to execute (-exp fuzz); -seed seeds the campaign")
 	fuzzRandom := flag.Bool("fuzz-random", false, "with -exp fuzz: ablate coverage guidance (same mutators, corpus frozen at the seeds)")
 	injectEngine := flag.String("inject-engine", "fork", "trial engine for -exp inject: fork (boot once per row, fork every trial) | boot (power-on per trial) | diff (run both, exit non-zero unless byte-identical)")
-	benchjson := flag.String("benchjson", "", "write the simulator-throughput baseline (BENCH_mach.json) to this file; implies -exp bench unless another experiment is named")
-	validate := flag.String("validate", "", "validate an existing BENCH_mach.json and exit")
 	flag.Parse()
 
 	pol, err := opec.ParsePolicy(*policy)
@@ -53,22 +57,9 @@ func main() {
 	engine, err := parseEngine(*injectEngine)
 	fail(err)
 
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		fail(err)
-		rep, err := opec.ValidateBenchReport(data)
-		fail(err)
-		fmt.Printf("%s: valid %s report (scale %s, %d workloads, %d experiments)\n",
-			*validate, rep.Schema, rep.Scale, len(rep.Workloads), len(rep.Experiments))
-		return
-	}
-
 	scale := opec.Full
 	if *quick {
 		scale = opec.Quick
-	}
-	if *benchjson != "" && *exp == "all" {
-		*exp = "bench"
 	}
 	h := opec.NewHarness(*parallel)
 
@@ -200,20 +191,15 @@ func main() {
 		}
 		ran = true
 	}
-	// Not part of -exp all: the bench sweep re-times fresh runs and
-	// would double every workload's cost.
+	// Not part of -exp all: the ledger is its own document on stdout,
+	// and its snapshot and fuzz sections run campaigns.
 	if strings.EqualFold(*exp, "bench") {
 		rep, err := opec.CollectBench(scale, *parallel)
 		fail(err)
 		data, err := opec.MarshalBenchReport(rep)
 		fail(err)
-		out := *benchjson
-		if out == "" {
-			out = "BENCH_mach.json"
-		}
-		fail(os.WriteFile(out, data, 0o644))
-		fmt.Printf("wrote %s (%s scale, %d workloads, %d experiments)\n",
-			out, rep.Scale, len(rep.Workloads), len(rep.Experiments))
+		_, err = os.Stdout.Write(data)
+		fail(err)
 		ran = true
 	}
 	if !ran {

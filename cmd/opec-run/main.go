@@ -84,11 +84,13 @@ func main() {
 		}
 	}
 
-	if *injectSpec != "" {
+	switch {
+	case *injectSpec != "" && *replaySpec != "":
+		fail(fmt.Errorf("-inject and -replay are mutually exclusive"))
+	case *injectSpec != "":
 		replayTrial(app, *mode, *injectSpec, pol, *maxCycles)
 		return
-	}
-	if *replaySpec != "" {
+	case *replaySpec != "":
 		replayFromSnapshot(app, *mode, *replaySpec, pol, *maxCycles)
 		return
 	}

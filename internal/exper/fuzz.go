@@ -18,9 +18,9 @@ import (
 // FuzzSeed and FuzzBudget are the standard campaign shape: the budget
 // is large enough for guided retention to compound multi-frame
 // scenarios past the random ablation (guidance needs a few corpus
-// generations before it pays off), small enough for CI. BENCH v7
-// records and validates the strict edge inequality at exactly this
-// shape.
+// generations before it pays off), small enough for CI. BENCH_mach.json
+// records the strict edge inequality at exactly this shape, and
+// opec-bench -exp bench fails when it does not hold.
 const (
 	FuzzSeed   int64 = 3
 	FuzzBudget       = 192

@@ -99,7 +99,7 @@ type (
 	FuzzReport  = fuzz.Report
 )
 
-// Standard fuzzing-campaign shape (the configuration BENCH v7 records).
+// Standard fuzzing-campaign shape (the configuration BENCH_mach.json records).
 const (
 	FuzzSeed   = exper.FuzzSeed
 	FuzzBudget = exper.FuzzBudget
@@ -324,22 +324,16 @@ var (
 	NewDebugSession = debug.New
 )
 
-// Simulator-throughput baseline (BENCH_mach.json) re-exports.
-type (
-	// BenchReport is the machine-readable simulator perf baseline.
-	BenchReport = exper.BenchReport
-	// BenchWorkload is one timed app × scheme run inside a BenchReport.
-	BenchWorkload = exper.BenchWorkload
-)
+// BenchReport is the exact performance ledger (BENCH_mach.json):
+// deterministic per-workload figures and the gated recovery, profile,
+// proof, snapshot and fuzz sections.
+type BenchReport = exper.BenchReport
 
 var (
-	// CollectBench measures per-workload simulated MIPS and harness
-	// sweep timings at a scale.
+	// CollectBench builds the ledger at a scale and runs its gates.
 	CollectBench = exper.CollectBench
 	// MarshalBenchReport renders a report as indented JSON.
 	MarshalBenchReport = exper.MarshalBenchReport
-	// ValidateBenchReport checks a BENCH_mach.json document is complete.
-	ValidateBenchReport = exper.ValidateBenchReport
 )
 
 // CaseStudyResult reports Section 6.1's contrast: the same arbitrary
