@@ -506,6 +506,32 @@ func BenchmarkMPUAllows(b *testing.B) {
 	})
 }
 
+// BenchmarkMPUProgram measures one compartment switch's protection
+// writes: the six slots of an ACES compartment plan (background, code,
+// stack, two data groups, peripheral window) in one MPU.Program call.
+// A switch allocates nothing, and the benchmark fails if it does.
+func BenchmarkMPUProgram(b *testing.B) {
+	var m mach.MPU
+	m.SetEnabled(true)
+	plan := [mach.NumRegions]mach.Region{
+		0: {Enabled: true, Base: 0, SizeLog2: 32, Perm: mach.APPrivRWUnprivRO},
+		1: {Enabled: true, Base: mach.FlashBase, SizeLog2: 16, Perm: mach.APRO},
+		2: {Enabled: true, Base: mach.SRAMBase + 0x1c000, SizeLog2: 14, Perm: mach.APRW},
+		3: {Enabled: true, Base: mach.SRAMBase, SizeLog2: 8, Perm: mach.APRW},
+		4: {Enabled: true, Base: mach.SRAMBase + 0x400, SizeLog2: 10, Perm: mach.APRW},
+		7: {Enabled: true, Base: mach.PeriphBase, SizeLog2: 14, Perm: mach.APRW},
+	}
+	const slots = 1<<0 | 1<<1 | 1<<2 | 1<<3 | 1<<4 | 1<<7
+	if n := testing.AllocsPerRun(100, func() { m.Program(&plan, slots) }); n != 0 {
+		b.Fatalf("MPU.Program allocates %.0f times per plan", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Program(&plan, slots)
+	}
+}
+
 // BenchmarkBusLoad measures the one-pass bus resolution: SRAM words and
 // the peripheral polling pattern the last-device cache targets.
 func BenchmarkBusLoad(b *testing.B) {

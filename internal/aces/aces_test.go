@@ -1,6 +1,7 @@
 package aces_test
 
 import (
+	"fmt"
 	"testing"
 
 	"opec/internal/aces"
@@ -415,5 +416,34 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if aces.Strategy(9).String() != "?" {
 		t.Error("unknown strategy name")
+	}
+}
+
+// A compartment whose protection cannot be programmed fails boot with
+// an error naming it and the MPU slot, instead of panicking at the
+// first switch into it.
+func TestBootRejectsInvalidPlan(t *testing.T) {
+	b := compile(t, aces.FilenameNoOpt)
+	var victim *aces.Compartment
+	for _, c := range b.Comps {
+		if c.PeriphWindow != nil {
+			victim = c
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no compartment with a peripheral window")
+	}
+	w := *victim.PeriphWindow
+	w.Base += 4 // no longer aligned to the window's size
+	victim.PeriphWindow = &w
+	bus := mach.NewBus(b.Board.FlashSize, b.Board.SRAMSize, &mach.Clock{})
+	rt, err := aces.Boot(b, bus)
+	if err == nil {
+		t.Fatalf("Boot accepted a misaligned peripheral window (runtime %v)", rt != nil)
+	}
+	want := fmt.Sprintf("aces: compartment %s: MPU slot 7: mach: region base %#x not aligned to size %#x", victim.Name, w.Base, uint32(1)<<w.SizeLog2)
+	if err.Error() != want {
+		t.Errorf("Boot error %q, want %q", err, want)
 	}
 }

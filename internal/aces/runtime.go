@@ -27,6 +27,12 @@ type Runtime struct {
 
 	tr          *trace.Buffer
 	compNameIDs []uint32
+
+	// Derived once at boot and never written after: each compartment's
+	// switch-time plan, indexed by Compartment.ID, and each function's
+	// compartment, indexed by ir.Function.Index.
+	plans  []plan
+	compOf []*Compartment
 }
 
 // Runtime MPU region roles.
@@ -37,6 +43,21 @@ const (
 	regionData0      = 3 // 3..6: variable groups
 	regionPeriph     = 7 // merged peripheral window
 )
+
+// planSlots are the regions a compartment switch writes: background,
+// code, stack, the DataRegionLimit data slots and the peripheral
+// window. The data slots past the limit (5 and 6) are never written.
+const planSlots uint8 = 1<<regionBackground | 1<<regionCode | 1<<regionStack |
+	(1<<DataRegionLimit-1)<<regionData0 | 1<<regionPeriph
+
+// plan is one compartment's switch-time protection: the regions a
+// switch writes into planSlots, and whether the compartment touches
+// heap pools, which decides both its heap fallback region and whether
+// memManage emulates a heap access.
+type plan struct {
+	regions [mach.NumRegions]mach.Region
+	heap    bool
+}
 
 // SwitchCost approximates one ACES compartment switch: the dispatcher
 // trampoline, context save/restore, and reprogramming the data and
@@ -52,7 +73,21 @@ func Boot(b *Build, bus *mach.Bus) (*Runtime, error) {
 	if mainFn == nil {
 		return nil, fmt.Errorf("aces: no main")
 	}
-	rt := &Runtime{B: b, Bus: bus}
+	rt := &Runtime{B: b, Bus: bus, plans: make([]plan, len(b.Comps))}
+	for _, c := range b.Comps {
+		p, err := b.planFor(c)
+		if err != nil {
+			return nil, err
+		}
+		rt.plans[c.ID] = p
+	}
+	rt.compOf = make([]*Compartment, len(b.Mod.Functions))
+	for i, f := range b.Mod.Functions {
+		rt.compOf[i] = b.CompOf[f]
+	}
+	if rt.cur = rt.compartment(mainFn); rt.cur == nil {
+		return nil, fmt.Errorf("aces: main has no compartment")
+	}
 	m := mach.NewMachine(b.Mod, bus, mach.FlashBase)
 	rt.M = m
 
@@ -76,7 +111,6 @@ func Boot(b *Build, bus *mach.Bus) (*Runtime, error) {
 	m.Handlers.OnReturn = rt.onReturn
 	m.Handlers.MemManage = rt.memManage
 
-	rt.cur = b.CompOf[mainFn]
 	rt.applyMPU(rt.cur)
 	bus.MPU.SetEnabled(true)
 	m.Privileged = rt.cur.Privileged
@@ -156,8 +190,18 @@ func (rt *Runtime) Run() error {
 // Current returns the executing compartment.
 func (rt *Runtime) Current() *Compartment { return rt.cur }
 
+// compartment returns f's compartment, the one b.CompOf[f] names. A
+// function the boot-time table does not hold at its index is looked up
+// in the map.
+func (rt *Runtime) compartment(f *ir.Function) *Compartment {
+	if i := f.Index(); i >= 0 && i < len(rt.compOf) && rt.B.Mod.Functions[i] == f {
+		return rt.compOf[i]
+	}
+	return rt.B.CompOf[f]
+}
+
 func (rt *Runtime) onCall(caller, callee *ir.Function) error {
-	next := rt.B.CompOf[callee]
+	next := rt.compartment(callee)
 	if next == nil || next == rt.cur {
 		rt.stack = append(rt.stack, nil) // no switch marker
 		return nil
@@ -210,7 +254,7 @@ func (rt *Runtime) onReturn(caller, callee *ir.Function) error {
 func (rt *Runtime) memManage(f *mach.Fault) mach.FaultResolution {
 	// Heap access by a heap-using compartment whose group regions are
 	// already full: handled like the stack, via emulation.
-	if f.Addr >= rt.B.HeapBase && f.Addr < rt.B.HeapBase+rt.B.HeapSize && rt.cur.heapRegionNeeded() {
+	if f.Addr >= rt.B.HeapBase && f.Addr < rt.B.HeapBase+rt.B.HeapSize && rt.plans[rt.cur.ID].heap {
 		rt.EmulatorHits++
 		rt.M.Clock.Advance(60)
 		rt.emuSpan(60)
@@ -235,43 +279,55 @@ func (rt *Runtime) memManage(f *mach.Fault) mach.FaultResolution {
 	return mach.FaultResolution{Action: mach.FaultAbort}
 }
 
-// applyMPU programs the compartment's region set: background read-only
-// map, code, the full stack (micro-emulator abstraction), up to four
-// variable-group regions and the merged peripheral window.
+// applyMPU programs the compartment's region set, one write per plan
+// slot.
 func (rt *Runtime) applyMPU(c *Compartment) {
-	mpu := rt.Bus.MPU
-	mpu.MustSetRegion(regionBackground, mach.Region{
+	rt.Bus.MPU.Program(&rt.plans[c.ID].regions, planSlots)
+}
+
+// planFor derives c's plan: the background read-only map, code, the
+// full stack (micro-emulator abstraction), up to DataRegionLimit
+// variable-group regions with the heap as the fallback for the first
+// free one, and the merged peripheral window. Every written slot is
+// validated here, so a bad plan fails boot instead of the first switch
+// into the compartment.
+func (b *Build) planFor(c *Compartment) (plan, error) {
+	p := plan{heap: c.heapRegionNeeded()}
+	r := &p.regions
+	r[regionBackground] = mach.Region{
 		Enabled: true, Base: 0, SizeLog2: 32, Perm: mach.APPrivRWUnprivRO,
-	})
-	mpu.MustSetRegion(regionCode, mach.Region{
+	}
+	r[regionCode] = mach.Region{
 		Enabled: true, Base: mach.FlashBase,
-		SizeLog2: mach.RegionSizeFor(rt.B.FlashUsed), Perm: mach.APRO,
-	})
-	mpu.MustSetRegion(regionStack, mach.Region{
-		Enabled: true, Base: rt.B.StackLimit,
-		SizeLog2: mach.RegionSizeFor(int(rt.B.StackTop - rt.B.StackLimit)), Perm: mach.APRW,
-	})
+		SizeLog2: mach.RegionSizeFor(b.FlashUsed), Perm: mach.APRO,
+	}
+	r[regionStack] = mach.Region{
+		Enabled: true, Base: b.StackLimit,
+		SizeLog2: mach.RegionSizeFor(int(b.StackTop - b.StackLimit)), Perm: mach.APRW,
+	}
 	for i := 0; i < DataRegionLimit; i++ {
 		slot := regionData0 + i
 		if i < len(c.Groups) {
 			s := c.Groups[i].Section()
-			mpu.MustSetRegion(slot, mach.Region{
+			r[slot] = mach.Region{
 				Enabled: true, Base: s.Addr, SizeLog2: s.RegionLog2, Perm: mach.APRW,
-			})
-		} else if i == len(c.Groups) && c.heapRegionNeeded() {
-			mpu.MustSetRegion(slot, mach.Region{
-				Enabled: true, Base: rt.B.HeapBase,
-				SizeLog2: mach.RegionSizeFor(int(rt.B.HeapSize)), Perm: mach.APRW,
-			})
-		} else {
-			mpu.ClearRegion(slot)
+			}
+		} else if i == len(c.Groups) && p.heap {
+			r[slot] = mach.Region{
+				Enabled: true, Base: b.HeapBase,
+				SizeLog2: mach.RegionSizeFor(int(b.HeapSize)), Perm: mach.APRW,
+			}
 		}
 	}
 	if c.PeriphWindow != nil {
-		mpu.MustSetRegion(regionPeriph, *c.PeriphWindow)
-	} else {
-		mpu.ClearRegion(regionPeriph)
+		r[regionPeriph] = *c.PeriphWindow
 	}
+	for i := range r {
+		if err := r[i].Validate(); err != nil {
+			return p, fmt.Errorf("aces: compartment %s: MPU slot %d: %w", c.Name, i, err)
+		}
+	}
+	return p, nil
 }
 
 // heapRegionNeeded reports whether the compartment touches heap pools.

@@ -362,3 +362,60 @@ entry0:
 		t.Errorf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
+
+// TestVerifyOperandMessages pins the exact text of each operand error:
+// Verify renders an operand's context only when it reports one, and the
+// messages must read as they did when every context was rendered up
+// front.
+func TestVerifyOperandMessages(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(m *Module)
+		want  string
+	}{
+		{"nil operand", func(m *Module) {
+			fb := NewFunc(m, "f", "f.c", nil)
+			fb.Add(nil, CI(1))
+			fb.RetVoid()
+		}, "f/entry0: nil operand in instr %v0"},
+		{"foreign parameter", func(m *Module) {
+			g := NewFunc(m, "g", "g.c", nil, P("x", I32))
+			g.RetVoid()
+			fb := NewFunc(m, "f", "f.c", nil)
+			fb.Store(I32, CI(0x20000000), g.Arg("x"))
+			fb.RetVoid()
+		}, "f/entry0: foreign parameter x in instr %v0"},
+		{"operand from another function", func(m *Module) {
+			g := NewFunc(m, "g", "g.c", nil)
+			v := g.Mul(CI(6), CI(7))
+			g.RetVoid()
+			fb := NewFunc(m, "f", "f.c", nil)
+			fb.Add(v, CI(1))
+			fb.RetVoid()
+		}, "f/entry0: operand from another function in instr %v0"},
+		{"terminator operands", func(m *Module) {
+			g := NewFunc(m, "g", "g.c", I32)
+			v := g.Mul(CI(6), CI(7))
+			g.Ret(v)
+			fb := NewFunc(m, "f", "f.c", I32)
+			then, els := fb.NewBlock("then"), fb.NewBlock("else")
+			fb.CondBr(nil, then, els)
+			fb.SetBlock(then)
+			fb.Ret(v)
+			fb.SetBlock(els)
+			fb.Ret(CI(0))
+		}, "f/entry0: nil operand in condbr condition\nf/then1: operand from another function in ret value"},
+	}
+	for _, c := range cases {
+		m := NewModule("bad")
+		c.build(m)
+		err := Verify(m)
+		if err == nil {
+			t.Errorf("%s: Verify = nil", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: Verify =\n%q\nwant\n%q", c.name, err.Error(), c.want)
+		}
+	}
+}

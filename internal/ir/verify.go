@@ -28,29 +28,39 @@ func Verify(m *Module) error {
 		defined := make(map[*Instr]bool)
 		f.Instructions(func(_ *Block, in *Instr) { defined[in] = true })
 
-		checkVal := func(b *Block, v Value, ctx string) {
+		// checkVal checks one operand of in, or of the terminator named
+		// by term when in is nil. The context is rendered only for an
+		// error: most operands are fine, and rendering an instruction
+		// costs more than checking it.
+		checkVal := func(b *Block, v Value, in *Instr, term string) {
+			ctx := func() string {
+				if in != nil {
+					return fmt.Sprintf("instr %s", in)
+				}
+				return term
+			}
 			switch v := v.(type) {
 			case nil:
-				errs = append(errs, fmt.Errorf("%s/%s: nil operand in %s", f.Name, b.Name, ctx))
+				errs = append(errs, fmt.Errorf("%s/%s: nil operand in %s", f.Name, b.Name, ctx()))
 			case *Instr:
 				if !defined[v] {
-					errs = append(errs, fmt.Errorf("%s/%s: operand from another function in %s", f.Name, b.Name, ctx))
+					errs = append(errs, fmt.Errorf("%s/%s: operand from another function in %s", f.Name, b.Name, ctx()))
 				}
 			case *Param:
 				if v.fn != f {
-					errs = append(errs, fmt.Errorf("%s/%s: foreign parameter %s in %s", f.Name, b.Name, v.Name, ctx))
+					errs = append(errs, fmt.Errorf("%s/%s: foreign parameter %s in %s", f.Name, b.Name, v.Name, ctx()))
 				}
 			case Const, *Global, *Function:
 				// Always valid operands.
 			default:
-				errs = append(errs, fmt.Errorf("%s/%s: unknown operand kind %T in %s", f.Name, b.Name, v, ctx))
+				errs = append(errs, fmt.Errorf("%s/%s: unknown operand kind %T in %s", f.Name, b.Name, v, ctx()))
 			}
 		}
 
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, a := range in.Args {
-					checkVal(b, a, fmt.Sprintf("instr %s", in))
+					checkVal(b, a, in, "")
 				}
 				switch in.Op {
 				case OpCall:
@@ -102,13 +112,13 @@ func Verify(m *Module) error {
 				if len(b.Term.Succs) != 2 || !blocks[b.Term.Succs[0]] || !blocks[b.Term.Succs[1]] {
 					errs = append(errs, fmt.Errorf("%s/%s: bad condbr targets", f.Name, b.Name))
 				}
-				checkVal(b, b.Term.Cond, "condbr condition")
+				checkVal(b, b.Term.Cond, nil, "condbr condition")
 			case TermRet:
 				if f.Ret != nil && b.Term.Val == nil {
 					errs = append(errs, fmt.Errorf("%s/%s: ret void from non-void function", f.Name, b.Name))
 				}
 				if b.Term.Val != nil {
-					checkVal(b, b.Term.Val, "ret value")
+					checkVal(b, b.Term.Val, nil, "ret value")
 				}
 			}
 		}

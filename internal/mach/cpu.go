@@ -61,7 +61,11 @@ type Handlers struct {
 	// (fastforward.go) relies on this to prove that a loop iteration
 	// calling through these hooks repeats exactly. The ACES runtime
 	// meets it: a same-compartment call pushes and pops a nil marker,
-	// and a compartment switch always reprograms the MPU.
+	// and a compartment switch always reprograms the MPU, writing the
+	// compartment's plan with MPU.Program, which bumps the generation
+	// once per written slot. The tables it reads to decide (each
+	// function's compartment, each compartment's plan) are derived at
+	// boot and never written during a run.
 	OnCall func(caller, callee *ir.Function) error
 	// OnReturn is invoked after the call returns, under the same
 	// contract as OnCall.

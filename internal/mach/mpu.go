@@ -13,6 +13,7 @@ package mach
 
 import (
 	"fmt"
+	"math/bits"
 
 	"opec/internal/trace"
 )
@@ -215,13 +216,7 @@ func (m *MPU) SetRegion(i int, r Region) error {
 		return err
 	}
 	m.Regions[i] = r
-	m.reconfigs++
-	m.invalidate()
-	if m.Trace != nil {
-		m.Trace.Emit(trace.Event{
-			Cycle: m.now(), Kind: trace.EvMPURegion, Op: -1, Arg: uint32(i), Arg2: r.Base,
-		})
-	}
+	m.wrote(i, true)
 	return nil
 }
 
@@ -229,10 +224,38 @@ func (m *MPU) SetRegion(i int, r Region) error {
 // register write (the runtimes use it to blank unused plan slots).
 func (m *MPU) ClearRegion(i int) {
 	m.Regions[i] = Region{}
+	m.wrote(i, false)
+}
+
+// Program writes the slots of plan that the bit mask slots selects, in
+// ascending order, each exactly as the per-slot call would: an enabled
+// slot as SetRegion (one reconfiguration), a disabled one as
+// ClearRegion. Every written slot bumps the generation once and, when
+// traced, emits its tlb-inval and mpu-region events. Nothing is
+// validated: a plan is checked once (Region.Validate) when it is
+// derived, not on every write.
+func (m *MPU) Program(plan *[NumRegions]Region, slots uint8) {
+	for s := slots; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros8(s)
+		if plan[i].Enabled {
+			m.Regions[i] = plan[i]
+			m.wrote(i, true)
+		} else {
+			m.ClearRegion(i)
+		}
+	}
+}
+
+// wrote accounts the write of region i: a reconfiguration when asked,
+// one generation bump and the region-program event.
+func (m *MPU) wrote(i int, reconfig bool) {
+	if reconfig {
+		m.reconfigs++
+	}
 	m.invalidate()
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{
-			Cycle: m.now(), Kind: trace.EvMPURegion, Op: -1, Arg: uint32(i),
+			Cycle: m.now(), Kind: trace.EvMPURegion, Op: -1, Arg: uint32(i), Arg2: m.Regions[i].Base,
 		})
 	}
 }

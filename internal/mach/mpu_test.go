@@ -1,8 +1,12 @@
 package mach
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"opec/internal/trace"
 )
 
 func TestAPAllows(t *testing.T) {
@@ -252,5 +256,75 @@ func TestSubregionSmallRegionIgnoresSRD(t *testing.T) {
 	}
 	if m.Allows(r.Base+32, false, false) == false {
 		t.Error("256B region: enabled sub-region 1 denied")
+	}
+}
+
+// TestProgramMatchesPerSlotWrites drives MPU.Program and the per-slot
+// writes it stands for (SetRegion for an enabled slot, ClearRegion for
+// a disabled one) over random plans and slot masks, untraced and
+// traced, on twin MPUs. After every plan both must hold the same
+// regions, counters, generation and event stream, and adjudicate the
+// same probes the same way.
+func TestProgramMatchesPerSlotWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randRegion := func() Region {
+		sz := uint8(MinRegionSizeLog2 + rng.Intn(12)) // 32B .. 64KB
+		base := SRAMBase + uint32(rng.Intn(1<<14))
+		base &^= (uint32(1) << sz) - 1
+		return Region{
+			Enabled:  rng.Intn(4) != 0,
+			Base:     base,
+			SizeLog2: sz,
+			SRD:      uint8(rng.Intn(256)),
+			Perm:     AP(rng.Intn(6)),
+			XN:       rng.Intn(2) == 0,
+		}
+	}
+	for _, traced := range []bool{false, true} {
+		clk := &Clock{}
+		prog, twin := &MPU{Clock: clk}, &MPU{Clock: clk}
+		if traced {
+			prog.Trace, twin.Trace = trace.NewBuffer(1<<14), trace.NewBuffer(1<<14)
+		}
+		prog.SetEnabled(true)
+		twin.SetEnabled(true)
+		for round := 0; round < 300; round++ {
+			var plan [NumRegions]Region
+			for i := range plan {
+				plan[i] = randRegion()
+			}
+			slots := uint8(rng.Intn(256))
+			prog.Program(&plan, slots)
+			for i := range plan {
+				switch {
+				case slots&(1<<i) == 0:
+				case plan[i].Enabled:
+					twin.MustSetRegion(i, plan[i])
+				default:
+					twin.ClearRegion(i)
+				}
+			}
+			clk.Advance(uint64(1 + rng.Intn(100)))
+			if prog.Regions != twin.Regions {
+				t.Fatalf("traced=%v round %d slots %#x: regions %+v, per-slot writes %+v", traced, round, slots, prog.Regions, twin.Regions)
+			}
+			if prog.gen != twin.gen || !slices.Equal(prog.Counters(), twin.Counters()) {
+				t.Fatalf("traced=%v round %d slots %#x: gen %d counters %v, per-slot writes gen %d counters %v",
+					traced, round, slots, prog.gen, prog.Counters(), twin.gen, twin.Counters())
+			}
+			if traced && (prog.Trace.Emitted() != twin.Trace.Emitted() || !slices.Equal(prog.Trace.Events(), twin.Trace.Events())) {
+				t.Fatalf("round %d slots %#x: event stream differs from the per-slot writes'", round, slots)
+			}
+			for probe := 0; probe < 32; probe++ {
+				addr := SRAMBase + uint32(rng.Intn(1<<15))
+				write, priv := rng.Intn(2) == 0, rng.Intn(2) == 0
+				if got, want := prog.Allows(addr, write, priv), twin.Allows(addr, write, priv); got != want {
+					t.Fatalf("traced=%v round %d: Allows(%#x, write=%v, priv=%v) = %v, per-slot writes %v", traced, round, addr, write, priv, got, want)
+				}
+			}
+		}
+		if traced && prog.Trace.Emitted() == 0 {
+			t.Fatal("traced MPUs emitted nothing")
+		}
 	}
 }
