@@ -602,6 +602,62 @@ func BenchmarkCallDispatch(b *testing.B) {
 	b.ReportMetric(callsPerRun, "calls/op")
 }
 
+// BenchmarkGateRoundTrip measures one OPEC operation switch in and
+// out under the monitor: main's loop calls the entry of an operation
+// that shares a global with main (one shadow synced each way) and
+// touches a heap pool (a pooled MPU region), b.N times. A round trip
+// allocates nothing, and the benchmark fails if it does.
+func BenchmarkGateRoundTrip(b *testing.B) {
+	m := ir.NewModule("gates")
+	shared := m.AddGlobal(&ir.Global{Name: "shared", Typ: ir.I32})
+	pool := m.AddGlobal(&ir.Global{Name: "pool", Typ: ir.Array(ir.I8, 64), HeapPool: true})
+	task := ir.NewFunc(m, "op_task", "t.c", ir.I32, ir.P("x", ir.I32))
+	task.Store(ir.I8, pool, task.Arg("x"))
+	task.Store(ir.I32, shared, task.Add(task.Load(ir.I32, shared), ir.CI(1)))
+	task.Ret(task.Add(task.Arg("x"), ir.CI(1)))
+	mb := ir.NewFunc(m, "main", "t.c", ir.I32, ir.P("n", ir.I32))
+	loop := mb.NewBlock("loop")
+	done := mb.NewBlock("done")
+	acc := mb.Alloca(ir.I32)
+	mb.Store(ir.I32, acc, ir.CI(0))
+	mb.Br(loop)
+	mb.SetBlock(loop)
+	v := mb.Call(task.F, mb.Load(ir.I32, acc))
+	mb.Store(ir.I32, acc, v)
+	mb.CondBr(mb.Lt(v, mb.Arg("n")), loop, done)
+	mb.SetBlock(done)
+	mb.Ret(mb.Load(ir.I32, shared))
+
+	bld, err := core.Compile(m, mach.STM32F4Discovery(), core.Config{Entries: []string{"op_task"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mon, err := monitor.Boot(bld, mach.NewBus(bld.Board.FlashSize, bld.Board.SRAMSize, &mach.Clock{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mon.M.MaxCycles = 1 << 62
+	mainFn := m.MustFunc("main")
+	args := []uint32{0}
+	gates := func(n int) {
+		args[0] = uint32(n)
+		before := mon.Stats.Switches
+		if _, err := mon.M.Run(mainFn, args...); err != nil {
+			b.Fatal(err)
+		}
+		if got := mon.Stats.Switches - before; got != uint64(n) {
+			b.Fatalf("%d operation switches, want %d", got, n)
+		}
+	}
+	gates(1) // size the machine's frame pool and the monitor's context pool
+	if n := testing.AllocsPerRun(10, func() { gates(100) }); n != 0 {
+		b.Fatalf("100 gate round trips allocate %.0f times", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	gates(b.N)
+}
+
 // BenchmarkSimMIPS reports simulated instruction throughput per
 // workload under the vanilla image; layerbench's mach.sim_mips.*
 // metrics track the same figure over repeated passes.

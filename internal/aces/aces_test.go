@@ -447,3 +447,32 @@ func TestBootRejectsInvalidPlan(t *testing.T) {
 		t.Errorf("Boot error %q, want %q", err, want)
 	}
 }
+
+// TestRuntimeResolvesGlobalsByIndex: the ACES machine resolves every
+// global of its module to its layout address through the index table
+// built at boot. A global the table does not hold at its index — one
+// of another module at a registered global's index, or a module global
+// re-registered elsewhere — resolves exactly as b.GlobalAddr does.
+func TestRuntimeResolvesGlobalsByIndex(t *testing.T) {
+	b := compile(t, aces.Filename)
+	rt, err := aces.Boot(b, mach.NewBus(b.Board.FlashSize, b.Board.SRAMSize, &mach.Clock{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range b.Mod.Globals {
+		if a, f := rt.M.GlobalAddr(g, false); f != nil || a != b.GlobalAddr[g] {
+			t.Errorf("%s resolves to %#x (fault %v), layout %#x", g.Name, a, f, b.GlobalAddr[g])
+		}
+	}
+	stranger := ir.NewModule("other").AddGlobal(&ir.Global{Name: "stranger", Typ: ir.I32})
+	if a, f := rt.M.GlobalAddr(stranger, false); f != nil || a != 0 {
+		t.Errorf("a global of another module at index %d resolves to %#x (fault %v), map gives 0", stranger.Index(), a, f)
+	}
+	g := b.Mod.Globals[0]
+	moved := ir.NewModule("moved")
+	moved.AddGlobal(&ir.Global{Name: "pad", Typ: ir.I32})
+	moved.AddGlobal(g)
+	if a, f := rt.M.GlobalAddr(g, false); f != nil || a != b.GlobalAddr[g] {
+		t.Errorf("%s moved to index %d resolves to %#x (fault %v), map %#x", g.Name, g.Index(), a, f, b.GlobalAddr[g])
+	}
+}

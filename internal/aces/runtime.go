@@ -3,6 +3,7 @@ package aces
 import (
 	"fmt"
 
+	"opec/internal/image"
 	"opec/internal/ir"
 	"opec/internal/mach"
 	"opec/internal/trace"
@@ -100,9 +101,7 @@ func Boot(b *Build, bus *mach.Bus) (*Runtime, error) {
 			bus.RawStore(addr+uint32(i), 1, v)
 		}
 	}
-	m.GlobalAddr = func(g *ir.Global, _ bool) (uint32, *mach.Fault) {
-		return b.GlobalAddr[g], nil
-	}
+	m.GlobalAddr = image.FixedGlobals(b.Mod, b.GlobalAddr)
 	m.StackTop = b.StackTop
 	m.StackLimit = b.StackLimit
 	m.SP = b.StackTop

@@ -168,13 +168,32 @@ func (v *Vanilla) NewBus() *mach.Bus {
 func (v *Vanilla) Instantiate(bus *mach.Bus) *mach.Machine {
 	WriteGlobals(bus, v.Mod, v.GlobalAddr)
 	m := mach.NewMachine(v.Mod, bus, mach.FlashBase)
-	m.GlobalAddr = func(g *ir.Global, _ bool) (uint32, *mach.Fault) {
-		return v.GlobalAddr[g], nil
-	}
+	m.GlobalAddr = FixedGlobals(v.Mod, v.GlobalAddr)
 	m.StackTop = v.StackTop
 	m.StackLimit = v.StackLimit
 	m.Privileged = true
 	return m
+}
+
+// FixedGlobals returns a Machine.GlobalAddr resolver for a layout that
+// gives every global one fixed address: a global of mod resolves by its
+// ir.Global.Index through a table built here, any other through addrs,
+// exactly as a lookup there would (an unplaced global at 0).
+func FixedGlobals(mod *ir.Module, addrs map[*ir.Global]uint32) func(*ir.Global, bool) (uint32, *mach.Fault) {
+	type entry struct {
+		g    *ir.Global
+		addr uint32
+	}
+	tbl := make([]entry, len(mod.Globals))
+	for i, g := range mod.Globals {
+		tbl[i] = entry{g, addrs[g]}
+	}
+	return func(g *ir.Global, _ bool) (uint32, *mach.Fault) {
+		if i := g.Index(); uint(i) < uint(len(tbl)) && tbl[i].g == g {
+			return tbl[i].addr, nil
+		}
+		return addrs[g], nil
+	}
 }
 
 // WriteGlobals initializes global storage in simulated memory.

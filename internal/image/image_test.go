@@ -167,3 +167,33 @@ func TestBuildVanillaRejectsOversize(t *testing.T) {
 		t.Error("oversized image accepted")
 	}
 }
+
+// TestVanillaResolvesGlobalsByIndex: the vanilla machine resolves every
+// global of its module to its layout address through the index table.
+// A global the table does not hold at its index — one of another module
+// at a registered global's index, or a module global re-registered
+// elsewhere — resolves exactly as the map does.
+func TestVanillaResolvesGlobalsByIndex(t *testing.T) {
+	m := buildTestModule()
+	v, err := BuildVanilla(m, mach.STM32F4Discovery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := v.Instantiate(v.NewBus())
+	for _, g := range m.Globals {
+		if a, f := mm.GlobalAddr(g, false); f != nil || a != v.GlobalAddr[g] {
+			t.Errorf("%s resolves to %#x (fault %v), layout %#x", g.Name, a, f, v.GlobalAddr[g])
+		}
+	}
+	stranger := ir.NewModule("other").AddGlobal(&ir.Global{Name: "stranger", Typ: ir.I32})
+	if a, f := mm.GlobalAddr(stranger, false); f != nil || a != 0 {
+		t.Errorf("a global of another module at index %d resolves to %#x (fault %v), map gives 0", stranger.Index(), a, f)
+	}
+	g := m.Globals[0]
+	moved := ir.NewModule("moved")
+	moved.AddGlobal(&ir.Global{Name: "pad", Typ: ir.I32})
+	moved.AddGlobal(g)
+	if a, f := mm.GlobalAddr(g, false); f != nil || a != v.GlobalAddr[g] {
+		t.Errorf("%s moved to index %d resolves to %#x (fault %v), map %#x", g.Name, g.Index(), a, f, v.GlobalAddr[g])
+	}
+}

@@ -419,3 +419,19 @@ func TestVerifyOperandMessages(t *testing.T) {
 		}
 	}
 }
+
+// TestGlobalIndex: AddGlobal gives each global its dense position in
+// the module's list, as AddFunc does for functions; a global never
+// registered reports -1.
+func TestGlobalIndex(t *testing.T) {
+	m := NewModule("idx")
+	for i, name := range []string{"a", "b", "c"} {
+		g := m.AddGlobal(&Global{Name: name, Typ: I32})
+		if g.Index() != i || m.Globals[g.Index()] != g {
+			t.Errorf("%s: Index() = %d, want %d", name, g.Index(), i)
+		}
+	}
+	if got := (&Global{Name: "loose", Typ: I32}).Index(); got != -1 {
+		t.Errorf("unregistered global: Index() = %d, want -1", got)
+	}
+}

@@ -32,7 +32,14 @@ type Global struct {
 	// placed in the dedicated heap section rather than operation data
 	// sections and are never shadow-copied (Section 5.2, Heap).
 	HeapPool bool
+
+	idx int // 1-based position in module.Globals; 0 = unregistered
 }
+
+// Index returns the global's dense position in its module's global
+// list, or -1 if it was never registered with AddGlobal. Runtimes use
+// it to resolve global operands by slice instead of by map.
+func (g *Global) Index() int { return g.idx - 1 }
 
 func (g *Global) String() string { return "@" + g.Name }
 
@@ -188,6 +195,7 @@ func (m *Module) AddGlobal(g *Global) *Global {
 		panic(fmt.Sprintf("ir: duplicate global %q", g.Name))
 	}
 	m.Globals = append(m.Globals, g)
+	g.idx = len(m.Globals)
 	m.globalsByName[g.Name] = g
 	return g
 }

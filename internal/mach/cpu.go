@@ -45,6 +45,8 @@ type Handlers struct {
 	// SvcEnter runs at an operation-entry supervisor call, privileged.
 	// It receives the evaluated call arguments and may rewrite them
 	// (stack-argument relocation, Figure 8). Returning an error aborts.
+	// The returned slice may be the handler's own storage: the machine
+	// reads it only while the gate is live, for the body and any retry.
 	SvcEnter func(entry *ir.Function, args []uint32) ([]uint32, error)
 	// SvcExit runs at the matching operation-exit supervisor call.
 	SvcExit func(entry *ir.Function, ret uint32) error
@@ -308,9 +310,9 @@ func (m *Machine) AttachTrace(buf *trace.Buffer) {
 	}
 }
 
-// traceID resolves fn's interned name id, interning on demand for
+// TraceID resolves fn's interned name id, interning on demand for
 // functions outside the module (late registrations, other modules).
-func (m *Machine) traceID(fn *ir.Function) uint32 {
+func (m *Machine) TraceID(fn *ir.Function) uint32 {
 	if i := fn.Index(); uint(i) < uint(len(m.traceIDs)) && m.metaByIdx[i].fn == fn {
 		return m.traceIDs[i]
 	}
@@ -330,7 +332,7 @@ func (m *Machine) emitExc(kind trace.Kind, class uint32, cost uint64) {
 func (m *Machine) emitBlock(fn *ir.Function, idx int) {
 	m.Trace.Emit(trace.Event{
 		Cycle: m.Clock.Now(), Kind: trace.EvBranch, Op: -1,
-		Arg: m.traceID(fn), Arg2: uint32(idx),
+		Arg: m.TraceID(fn), Arg2: uint32(idx),
 	})
 }
 
@@ -568,7 +570,7 @@ func (m *Machine) tick() error {
 			if m.Trace != nil {
 				m.emitExc(trace.EvExcEntry, trace.ExcIRQ, CostExcEntry)
 				m.Trace.Emit(trace.Event{
-					Cycle: m.Clock.Now(), Kind: trace.EvIRQ, Op: -1, Arg: m.traceID(b.handler),
+					Cycle: m.Clock.Now(), Kind: trace.EvIRQ, Op: -1, Arg: m.TraceID(b.handler),
 				})
 			}
 			_, err := m.call(b.handler, nil)
@@ -741,7 +743,7 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{
 			Cycle: m.Clock.Now(), Kind: trace.EvCall, Op: -1,
-			Arg: m.traceID(callee), Arg2: m.traceID(caller),
+			Arg: m.TraceID(callee), Arg2: m.TraceID(caller),
 		})
 	}
 	if m.Handlers.OnCall != nil {
@@ -755,7 +757,7 @@ func (m *Machine) dispatchCall(caller, callee *ir.Function, args []uint32) (uint
 	}
 	if m.Trace != nil {
 		m.Trace.Emit(trace.Event{
-			Cycle: m.Clock.Now(), Kind: trace.EvCallRet, Op: -1, Arg: m.traceID(callee),
+			Cycle: m.Clock.Now(), Kind: trace.EvCallRet, Op: -1, Arg: m.TraceID(callee),
 		})
 	}
 	if m.Handlers.OnReturn != nil {

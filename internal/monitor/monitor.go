@@ -115,8 +115,12 @@ type Monitor struct {
 	// gate unwinds; the zero value aborts, as the paper does.
 	Policy Policy
 
-	cur      *core.Operation
-	ctxStack []*opContext
+	cur *core.Operation
+	// ctxs is the operation context stack, pooled by gate depth as the
+	// machine pools frames: ctxs[:depth] are live, and a gate entering
+	// at a depth resets and reuses the context left there.
+	ctxs  []*opContext
+	depth int
 
 	restarts    map[*core.Operation]int  // consecutive-fault counters
 	quarantined map[*core.Operation]bool // disabled operations
@@ -128,6 +132,16 @@ type Monitor struct {
 	// plan comes from Build.PMPFor and stack hiding uses a precise TOR
 	// boundary instead of sub-regions.
 	pmp *mach.PMP
+
+	// Derived once at boot and never written after (plan.go): each
+	// operation's switch plan by op.ID, the relocation-table slot
+	// addresses in ExternalList order, each function's entered
+	// operation by ir.Function.Index and each global's resolution by
+	// ir.Global.Index.
+	plans      []opPlan
+	relocSlots []uint32
+	entryOps   []*core.Operation
+	globals    []globalRes
 
 	// Tracing state (AttachTrace). tr is nil when disabled; every
 	// emission site checks it. The span fields measure the gate
@@ -242,6 +256,7 @@ type opContext struct {
 	savedPMP     [mach.NumPMPEntries]mach.PMPEntry
 	savedRR      int
 	relocs       []argReloc
+	args         []uint32 // the entry's arguments, as relocated
 }
 
 // argReloc records one relocated pointer-argument buffer for copy-back
@@ -276,6 +291,9 @@ func BootPMP(b *core.Build, bus *mach.Bus) (*Monitor, error) {
 
 func boot(b *core.Build, bus *mach.Bus, usePMP bool) (*Monitor, error) {
 	mon := &Monitor{B: b, Bus: bus}
+	if err := mon.derivePlans(usePMP); err != nil {
+		return nil, err
+	}
 	m := mach.NewMachine(b.Mod, bus, b.CodeBase)
 	mon.M = m
 
@@ -298,10 +316,10 @@ func boot(b *core.Build, bus *mach.Bus, usePMP bool) (*Monitor, error) {
 	if usePMP {
 		mon.pmp = &mach.PMP{}
 		bus.Prot = mon.pmp
-		mon.applyPMP(b.PMPFor(mon.cur))
+		mon.applyPMP(mon.cur)
 		mon.pmp.Enabled = true
 	} else {
-		mon.applyMPU(b.MPUFor(mon.cur))
+		mon.applyMPU(mon.cur)
 		mon.setSRD(0)
 		bus.MPU.SetEnabled(true)
 		// Certificates are proven against the ARMv7-M region plans; they
@@ -357,18 +375,22 @@ func (mon *Monitor) writeInit(addr uint32, g *ir.Global) {
 // resolveGlobal implements the image's symbol semantics: fixed-home
 // globals resolve directly; external globals resolve through their
 // relocation-table slot with a real (checked, cycle-charged) memory
-// read at the accessor's privilege.
+// read at the accessor's privilege. The boot-time table answers by
+// ir.Global.Index; a global it does not hold at its index resolves
+// through the build's maps.
 func (mon *Monitor) resolveGlobal(g *ir.Global, privileged bool) (uint32, *mach.Fault) {
-	if a, ok := mon.B.StaticAddr[g]; ok {
-		return a, nil
+	var r globalRes
+	if i := g.Index(); uint(i) < uint(len(mon.globals)) && mon.globals[i].g == g {
+		r = mon.globals[i]
+	} else {
+		r = mon.resolution(g)
 	}
-	if slot, ok := mon.B.RelocSlot[g]; ok {
+	switch r.kind {
+	case resFixed:
+		return r.addr, nil
+	case resSlot:
 		mon.M.Clock.Advance(mach.CostMem)
-		return mon.Bus.Load(slot, 4, privileged)
-	}
-	// A global no operation touches: its public original.
-	if a, ok := mon.B.PublicAddr[g]; ok {
-		return a, nil
+		return mon.Bus.Load(r.addr, 4, privileged)
 	}
 	return 0, &mach.Fault{Kind: mach.FaultBus, Privileged: privileged}
 }
@@ -376,13 +398,13 @@ func (mon *Monitor) resolveGlobal(g *ir.Global, privileged bool) (uint32, *mach.
 // svcEnter is the operation-switch entry path (Section 5.3).
 func (mon *Monitor) svcEnter(entry *ir.Function, args []uint32) ([]uint32, error) {
 	b := mon.B
-	next := b.EntryOps[entry]
+	next := mon.entryOp(entry)
 	if next == nil {
 		mon.Stats.GateRejectNonEntry++
 		if mon.tr != nil {
 			mon.tr.Emit(trace.Event{
 				Cycle: mon.M.Clock.Now(), Kind: trace.EvGateReject, Op: -1,
-				Arg: mon.tr.Intern(entry.Name), Arg2: trace.RejectNonEntry,
+				Arg: mon.M.TraceID(entry), Arg2: trace.RejectNonEntry,
 			})
 		}
 		return nil, &AbortError{Reason: fmt.Sprintf("SVC for non-entry %s", entry.Name)}
@@ -395,7 +417,7 @@ func (mon *Monitor) svcEnter(entry *ir.Function, args []uint32) ([]uint32, error
 		if mon.tr != nil {
 			mon.tr.Emit(trace.Event{
 				Cycle: mon.M.Clock.Now(), Kind: trace.EvGateReject, Op: int32(next.ID),
-				Arg: mon.tr.Intern(entry.Name), Arg2: trace.RejectQuarantined,
+				Arg: mon.M.TraceID(entry), Arg2: trace.RejectQuarantined,
 			})
 			mon.tr.Emit(trace.Event{
 				Cycle: mon.M.Clock.Now(), Dur: 8,
@@ -420,12 +442,16 @@ func (mon *Monitor) svcEnter(entry *ir.Function, args []uint32) ([]uint32, error
 	mon.updateRelocTable(next)
 	mon.redirectPointerFields(next)
 
-	ctx := &opContext{
+	// The context pooled at this gate depth, every field reset.
+	ctx := mon.ctxAt(mon.depth)
+	*ctx = opContext{
 		op:           prev,
 		savedSP:      mon.M.SP,
 		savedSRD:     mon.srd,
 		savedRegions: mon.Bus.MPU.Regions,
 		savedRR:      mon.rrNext,
+		relocs:       ctx.relocs[:0],
+		args:         append(ctx.args[:0], args...),
 	}
 	if mon.pmp != nil {
 		ctx.savedPMP = mon.pmp.Entries
@@ -435,8 +461,7 @@ func (mon *Monitor) svcEnter(entry *ir.Function, args []uint32) ([]uint32, error
 	// the previous operation's stack into the entering operation's
 	// reach, rewrite the pointer arguments, then disable the
 	// sub-regions covering the previous frames.
-	newArgs := make([]uint32, len(args))
-	copy(newArgs, args)
+	newArgs := ctx.args
 	for i, spec := range next.StackArgs {
 		if i >= len(args) || !spec.IsPtr || spec.PointeeBytes == 0 {
 			continue
@@ -483,35 +508,43 @@ func (mon *Monitor) svcEnter(entry *ir.Function, args []uint32) ([]uint32, error
 	// (relocated buffers sit below it) — byte-precise, no sub-region
 	// granularity loss.
 	if mon.pmp != nil {
-		mon.applyPMP(b.PMPFor(next))
+		mon.applyPMP(next)
 		mon.setStackBoundary(ctx.savedSP)
 	} else {
 		mon.setSRD(srdAbove(mon.M.SP, b.StackBase, b.StackRegionLog2))
-		mon.applyMPU(b.MPUFor(next))
+		mon.applyMPU(next)
 	}
-	mon.ctxStack = append(mon.ctxStack, ctx)
+	mon.depth++
 	mon.cur = next
 	mon.spanEnd()
 	if mon.tr != nil {
 		mon.tr.Emit(trace.Event{
 			Cycle: mon.M.Clock.Now(), Kind: trace.EvGateEnter, Op: int32(next.ID),
-			Arg: mon.tr.Intern(entry.Name), Arg2: uint32(len(ctx.relocs)),
+			Arg: mon.M.TraceID(entry), Arg2: uint32(len(ctx.relocs)),
 		})
 	}
 	return newArgs, nil
 }
 
+// ctxAt returns the pooled context for zero-based gate depth d.
+func (mon *Monitor) ctxAt(d int) *opContext {
+	for len(mon.ctxs) <= d {
+		mon.ctxs = append(mon.ctxs, &opContext{})
+	}
+	return mon.ctxs[d]
+}
+
 // svcExit is the operation-switch exit path (Section 5.3).
 func (mon *Monitor) svcExit(entry *ir.Function, _ uint32) error {
-	if len(mon.ctxStack) == 0 {
+	if mon.depth == 0 {
 		return &AbortError{Reason: "operation exit without matching enter"}
 	}
-	ctx := mon.ctxStack[len(mon.ctxStack)-1]
-	mon.ctxStack = mon.ctxStack[:len(mon.ctxStack)-1]
+	mon.depth--
+	ctx := mon.ctxs[mon.depth]
 	if mon.tr != nil {
 		mon.tr.Emit(trace.Event{
 			Cycle: mon.M.Clock.Now(), Kind: trace.EvGateExit, Op: int32(mon.cur.ID),
-			Arg: mon.tr.Intern(entry.Name),
+			Arg: mon.M.TraceID(entry),
 		})
 	}
 	mon.spanBegin()
@@ -589,12 +622,12 @@ func (mon *Monitor) relocateBuffer(ctx *opContext, src uint32, size int) (uint32
 // syncOut writes op's shadow copies back to the public originals,
 // sanitizing critical variables first (Section 5.3).
 func (mon *Monitor) syncOut(op *core.Operation) error {
-	b := mon.B
-	for _, g := range b.SyncList(op) {
-		shadow := b.ShadowAddr[op.ID][g]
-		if g.Critical != nil {
-			v, _ := mon.Bus.RawLoad(shadow, 4)
-			ok := g.Critical.Contains(v)
+	sync := mon.plans[op.ID].sync
+	for i := range sync {
+		s := &sync[i]
+		if s.critical != nil {
+			v, _ := mon.Bus.RawLoad(s.shadow, 4)
+			ok := s.critical.Contains(v)
 			if mon.tr != nil {
 				verdict := uint32(0)
 				if !ok {
@@ -602,29 +635,30 @@ func (mon *Monitor) syncOut(op *core.Operation) error {
 				}
 				mon.tr.Emit(trace.Event{
 					Cycle: mon.M.Clock.Now(), Kind: trace.EvSanitize,
-					Op: int32(op.ID), Arg: mon.tr.Intern(g.Name), Arg2: verdict,
+					Op: int32(op.ID), Arg: mon.tr.Intern(s.g.Name), Arg2: verdict,
 				})
 			}
 			if !ok {
 				mon.Stats.SanitizeRejects++
 				return &AbortError{Reason: fmt.Sprintf(
 					"%v: %s=%d outside [%d,%d] leaving operation %s",
-					ErrSanitization, g.Name, v, g.Critical.Min, g.Critical.Max, op.Name),
+					ErrSanitization, s.g.Name, v, s.critical.Min, s.critical.Max, op.Name),
 					Cause: ErrSanitization}
 			}
 		}
-		mon.Bus.CopyMem(b.PublicAddr[g], shadow, g.Size())
-		mon.chargeSync(g.Size())
+		mon.Bus.CopyMem(s.public, s.shadow, s.size)
+		mon.chargeSync(s.size)
 	}
 	return nil
 }
 
 // syncIn fills op's shadow copies from the public originals.
 func (mon *Monitor) syncIn(op *core.Operation) {
-	b := mon.B
-	for _, g := range b.SyncList(op) {
-		mon.Bus.CopyMem(b.ShadowAddr[op.ID][g], b.PublicAddr[g], g.Size())
-		mon.chargeSync(g.Size())
+	sync := mon.plans[op.ID].sync
+	for i := range sync {
+		s := &sync[i]
+		mon.Bus.CopyMem(s.shadow, s.public, s.size)
+		mon.chargeSync(s.size)
 	}
 }
 
@@ -640,14 +674,9 @@ func (mon *Monitor) chargeSync(bytes int) {
 // operation does not access the variable (writes there still fault:
 // the public section is unprivileged-read-only).
 func (mon *Monitor) updateRelocTable(op *core.Operation) {
-	b := mon.B
 	var cycles uint64
-	for _, g := range b.ExternalList {
-		addr, ok := b.ShadowAddr[op.ID][g]
-		if !ok {
-			addr = b.PublicAddr[g]
-		}
-		mon.Bus.RawStore(b.RelocSlot[g], 4, addr)
+	for i, addr := range mon.plans[op.ID].reloc {
+		mon.Bus.RawStore(mon.relocSlots[i], 4, addr)
 		mon.Stats.RelocUpdates++
 		mon.M.Clock.Advance(mach.CostMem)
 		cycles += mach.CostMem
@@ -661,13 +690,10 @@ func (mon *Monitor) updateRelocTable(op *core.Operation) {
 // same variable (Section 5.3).
 func (mon *Monitor) redirectPointerFields(op *core.Operation) {
 	b := mon.B
-	for _, g := range b.SyncList(op) {
-		offs := b.PtrFields[g]
-		if len(offs) == 0 {
-			continue
-		}
-		base := b.ShadowAddr[op.ID][g]
-		for _, off := range offs {
+	sync := mon.plans[op.ID].sync
+	for i := range sync {
+		base := sync[i].shadow
+		for _, off := range sync[i].ptrFields {
 			p, _ := mon.Bus.RawLoad(base+uint32(off), 4)
 			tgtG, tgtOp, tgtOff := mon.findShadow(p)
 			if tgtG == nil || tgtOp == op.ID {
@@ -709,8 +735,7 @@ func (mon *Monitor) memManage(f *mach.Fault) mach.FaultResolution {
 	if f.Addr >= mach.PeriphBase && f.Addr < mach.PeriphEnd &&
 		mon.cur.AllowsPeriphAddr(mon.B.Board, f.Addr) {
 		if mon.pmp != nil {
-			plan := mon.B.PMPFor(mon.cur)
-			for _, e := range plan.Pool {
+			for _, e := range mon.plans[mon.cur.ID].pmp.Pool {
 				if e.Mode == mach.PMPNAPOT && f.Addr >= e.Addr && f.Addr-e.Addr < 1<<e.SizeLog2 {
 					nres := core.PMPPoolLast - core.PMPPool0 + 1
 					slot := core.PMPPool0 + mon.rrNext
@@ -724,8 +749,7 @@ func (mon *Monitor) memManage(f *mach.Fault) mach.FaultResolution {
 			}
 			return mach.FaultResolution{Action: mach.FaultAbort}
 		}
-		plan := mon.B.MPUFor(mon.cur)
-		for _, r := range plan.Pool {
+		for _, r := range mon.plans[mon.cur.ID].mpu.Pool {
 			if f.Addr >= r.Base && f.Addr-r.Base < 1<<r.SizeLog2 {
 				slot := core.RegionPeriph0 + mon.rrNext
 				mon.rrNext = (mon.rrNext + 1) % (mach.NumRegions - core.RegionPeriph0)
@@ -759,25 +783,19 @@ func (mon *Monitor) busFault(f *mach.Fault) mach.FaultResolution {
 	return mach.FaultResolution{Action: mach.FaultAbort}
 }
 
-// applyMPU programs regions 0–7 from the plan.
-func (mon *Monitor) applyMPU(p core.OpMPU) {
-	for i, r := range p.Static {
-		if i == core.RegionStack {
-			r.SRD = mon.srd
-		}
-		if r.Enabled {
-			mon.Bus.MPU.MustSetRegion(i, r)
-		} else {
-			mon.Bus.MPU.ClearRegion(i)
-		}
-	}
+// applyMPU programs regions 0–7 from op's plan in one MPU.Program
+// call, the stack slot carrying the current sub-region mask.
+func (mon *Monitor) applyMPU(op *core.Operation) {
+	plan := mon.plans[op.ID].mpu.Static
+	plan[core.RegionStack].SRD = mon.srd
+	mon.Bus.MPU.Program(&plan, 0xFF)
 	mon.M.Clock.Advance(mach.NumRegions * mach.CostMPUWrite)
 	mon.rrNext = 0
 }
 
-// applyPMP programs the 16 PMP entries from the plan.
-func (mon *Monitor) applyPMP(p core.OpPMP) {
-	for i, e := range p.Static {
+// applyPMP programs the 16 PMP entries from op's plan.
+func (mon *Monitor) applyPMP(op *core.Operation) {
+	for i, e := range &mon.plans[op.ID].pmp.Static {
 		mon.pmp.Entries[i] = mach.PMPEntry{} // clear
 		if e.Mode != mach.PMPOff || i == core.PMPStackLo {
 			mon.pmp.MustSetEntry(i, e)

@@ -114,7 +114,7 @@ func (mon *Monitor) Quarantined(op *core.Operation) bool { return mon.quarantine
 // the failure.
 func (mon *Monitor) svcFault(entry *ir.Function, err error) mach.SvcFaultResolution {
 	mon.Stats.SvcFaults++
-	op := mon.B.EntryOps[entry]
+	op := mon.entryOp(entry)
 	// Only the innermost faulting operation recovers: if the current
 	// operation is not this gate's, the failure belongs to (or already
 	// escaped) a nested context and must keep unwinding. Cycle-limit
@@ -180,14 +180,9 @@ func (mon *Monitor) restart(op *core.Operation) {
 // peripheral regions swapped in).
 func (mon *Monitor) reinitOperation(op *core.Operation) {
 	b := mon.B
-	for _, g := range op.Globals {
-		if b.External[g] {
-			continue
-		}
-		if a, ok := b.StaticAddr[g]; ok {
-			mon.writeInit(a, g)
-			mon.chargeSync(g.Size())
-		}
+	for _, r := range mon.plans[op.ID].inits {
+		mon.writeInit(r.addr, r.g)
+		mon.chargeSync(r.g.Size())
 	}
 	mon.syncIn(op)
 	mon.redirectPointerFields(op)
@@ -202,8 +197,8 @@ func (mon *Monitor) reinitOperation(op *core.Operation) {
 
 	// Refresh relocated argument buffers from their (untouched)
 	// originals, then re-apply the deep-copy pointer redirects.
-	if n := len(mon.ctxStack); n > 0 {
-		ctx := mon.ctxStack[n-1]
+	if mon.depth > 0 {
+		ctx := mon.ctxs[mon.depth-1]
 		for _, r := range ctx.relocs {
 			mon.Bus.CopyMem(r.newAddr, r.oldAddr, r.size)
 			mon.chargeSync(r.size)
@@ -219,16 +214,16 @@ func (mon *Monitor) reinitOperation(op *core.Operation) {
 			}
 		}
 		if mon.pmp != nil {
-			mon.applyPMP(b.PMPFor(op))
+			mon.applyPMP(op)
 			mon.setStackBoundary(ctx.savedSP)
 		} else {
-			mon.applyMPU(b.MPUFor(op))
+			mon.applyMPU(op)
 		}
 	} else {
 		if mon.pmp != nil {
-			mon.applyPMP(b.PMPFor(op))
+			mon.applyPMP(op)
 		} else {
-			mon.applyMPU(b.MPUFor(op))
+			mon.applyMPU(op)
 		}
 	}
 }
@@ -248,13 +243,12 @@ func (mon *Monitor) quarantine(op *core.Operation) {
 	mon.Stats.Quarantines++
 	delete(mon.restarts, op)
 
-	n := len(mon.ctxStack)
-	if n == 0 {
+	if mon.depth == 0 {
 		mon.emitRecovery(op, trace.RecoveryQuarantine, start)
 		return
 	}
-	ctx := mon.ctxStack[n-1]
-	mon.ctxStack = mon.ctxStack[:n-1]
+	mon.depth--
+	ctx := mon.ctxs[mon.depth]
 	mon.M.Clock.Advance(32)
 
 	// The previous operation's shadows and the public originals are

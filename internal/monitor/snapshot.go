@@ -10,7 +10,7 @@ import "opec/internal/core"
 type Snapshot struct {
 	stats       Stats
 	cur         *core.Operation
-	ctxStack    []*opContext
+	ctxs        []opContext // the live context stack, innermost last
 	restarts    map[*core.Operation]int
 	quarantined map[*core.Operation]bool
 	srd         uint8
@@ -24,7 +24,7 @@ func (mon *Monitor) Snapshot() *Snapshot {
 	return &Snapshot{
 		stats:       mon.Stats,
 		cur:         mon.cur,
-		ctxStack:    copyCtxStack(mon.ctxStack),
+		ctxs:        copyCtxs(mon.ctxs[:mon.depth]),
 		restarts:    copyOpInts(mon.restarts),
 		quarantined: copyOpBools(mon.quarantined),
 		srd:         mon.srd,
@@ -32,14 +32,17 @@ func (mon *Monitor) Snapshot() *Snapshot {
 	}
 }
 
-// Restore rewinds the monitor to the snapshot (deep-copying again, so
-// one snapshot restores any number of trials). Trace attachment and
-// span state are cleared — the caller re-attaches per trial, exactly
-// as a fresh boot would.
+// Restore rewinds the monitor to the snapshot (deep-copying again into
+// the pooled contexts, so one snapshot restores any number of trials).
+// Trace attachment and span state are cleared — the caller re-attaches
+// per trial, exactly as a fresh boot would.
 func (mon *Monitor) Restore(s *Snapshot) {
 	mon.Stats = s.stats
 	mon.cur = s.cur
-	mon.ctxStack = copyCtxStack(s.ctxStack)
+	for i := range s.ctxs {
+		copyCtx(mon.ctxAt(i), &s.ctxs[i])
+	}
+	mon.depth = len(s.ctxs)
 	mon.restarts = copyOpInts(s.restarts)
 	mon.quarantined = copyOpBools(s.quarantined)
 	mon.srd = s.srd
@@ -52,21 +55,28 @@ func (mon *Monitor) Restore(s *Snapshot) {
 	mon.syncMute = false
 }
 
-func copyCtxStack(stack []*opContext) []*opContext {
-	if stack == nil {
+func copyCtxs(stack []*opContext) []opContext {
+	if len(stack) == 0 {
 		return nil
 	}
-	out := make([]*opContext, len(stack))
+	out := make([]opContext, len(stack))
 	for i, ctx := range stack {
-		cp := *ctx
-		cp.relocs = make([]argReloc, len(ctx.relocs))
-		for j, rl := range ctx.relocs {
-			rl.fixups = append([]ptrFixup(nil), rl.fixups...)
-			cp.relocs[j] = rl
-		}
-		out[i] = &cp
+		copyCtx(&out[i], ctx)
 	}
 	return out
+}
+
+// copyCtx deep-copies src into dst, reusing dst's storage; no slice of
+// one aliases the other's.
+func copyCtx(dst, src *opContext) {
+	relocs, args := dst.relocs[:0], dst.args[:0]
+	*dst = *src
+	dst.relocs = relocs
+	for _, rl := range src.relocs {
+		rl.fixups = append([]ptrFixup(nil), rl.fixups...)
+		dst.relocs = append(dst.relocs, rl)
+	}
+	dst.args = append(args, src.args...)
 }
 
 func copyOpInts(m map[*core.Operation]int) map[*core.Operation]int {
